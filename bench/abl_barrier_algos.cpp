@@ -19,7 +19,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     for (proto::Protocol proto : kProtocols) {
       const char* tag = k == harness::BarrierKind::CombiningTree
                             ? "ct"
-                            : barrier_tag(k).data();
+                            : harness::short_tag(k).data();
       std::vector<std::string> row{series_label(tag, proto)};
       for (unsigned p : opts.procs) {
         harness::MachineConfig cfg;
@@ -28,7 +28,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
         obs.configure(cfg,
                       series_label(tag, proto) + "/P" + std::to_string(p));
         const auto r =
-            harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});
+            harness::run_barrier_experiment(cfg, k, {harness::scaled(opts.scale, 5000)});
         obs.record(r);
         row.push_back(harness::Table::num(r.avg_latency, 1));
       }

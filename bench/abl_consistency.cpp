@@ -28,7 +28,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
           cfg.nprocs = p;
           cfg.consistency = m;
           harness::LockParams params;
-          params.total_acquires = opts.scaled(32000);
+          params.total_acquires = harness::scaled(opts.scale, 32000);
           obs.configure(cfg, "MCS/" + std::string(proto::to_string(proto)) +
                                  (m == proto::Consistency::Release ? "/RC" : "/SC"));
           const auto r =
@@ -44,8 +44,9 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
           cfg.consistency = m;
           obs.configure(cfg, "db/" + std::string(proto::to_string(proto)) +
                                  (m == proto::Consistency::Release ? "/RC" : "/SC"));
-          const auto r = harness::run_barrier_experiment(
-              cfg, harness::BarrierKind::Dissemination, {opts.scaled(5000)});
+          const auto r =
+              harness::run_barrier_experiment(cfg, harness::BarrierKind::Dissemination,
+                                              {harness::scaled(opts.scale, 5000)});
           obs.record(r);
           return r.avg_latency;
         });
@@ -59,7 +60,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
                                  (m == proto::Consistency::Release ? "/RC" : "/SC"));
           const auto r = harness::run_reduction_experiment(
               cfg, harness::ReductionKind::Sequential,
-              {.rounds = opts.scaled(5000)});
+              {.rounds = harness::scaled(opts.scale, 5000)});
           obs.record(r);
           return r.avg_latency;
         });

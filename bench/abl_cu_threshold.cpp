@@ -21,7 +21,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       cfg.nprocs = p;
       cfg.cu_threshold = thresh;
       harness::LockParams params;
-      params.total_acquires = opts.scaled(32000);
+      params.total_acquires = harness::scaled(opts.scale, 32000);
       obs.configure(cfg, "MCS/t" + std::to_string(thresh));
       const auto r = harness::run_lock_experiment(cfg, harness::LockKind::Mcs, params);
       obs.record(r);
@@ -39,7 +39,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       cfg.cu_threshold = thresh;
       obs.configure(cfg, "cb/t" + std::to_string(thresh));
       const auto r = harness::run_barrier_experiment(
-          cfg, harness::BarrierKind::Central, {opts.scaled(5000)});
+          cfg, harness::BarrierKind::Central, {harness::scaled(opts.scale, 5000)});
       obs.record(r);
       t.add_row({"central barrier", harness::Table::num(std::uint64_t{thresh}),
                  harness::Table::num(r.avg_latency, 1),

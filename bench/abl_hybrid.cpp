@@ -50,7 +50,7 @@ Cycle run_combined(harness::ObsSession& obs, const std::string& label,
 }
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  const int rounds = static_cast<int>(opts.scaled(2000));
+  const int rounds = static_cast<int>(harness::scaled(opts.scale, 2000));
   std::vector<std::string> headers{"machine"};
   for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
   harness::Table t(std::move(headers));

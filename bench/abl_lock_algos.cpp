@@ -34,7 +34,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
   harness::Table t(std::move(headers));
 
-  const std::uint64_t total = opts.scaled(32000);
+  const std::uint64_t total = harness::scaled(opts.scale, 32000);
   for (const Algo& algo : algos) {
     for (proto::Protocol proto : kProtocols) {
       std::vector<std::string> row{series_label(algo.tag, proto)};

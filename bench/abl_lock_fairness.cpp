@@ -29,7 +29,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   };
 
   const unsigned p = opts.procs.back();
-  const std::uint64_t total = opts.scaled(32000);
+  const std::uint64_t total = harness::scaled(opts.scale, 32000);
   harness::Table t({"lock/proto", "mean", "p50", "p99", "max", "p99/p50"});
 
   for (const Algo& algo : algos) {

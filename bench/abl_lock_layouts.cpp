@@ -15,7 +15,7 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-  const std::uint64_t total = opts.scaled(32000);
+  const std::uint64_t total = harness::scaled(opts.scale, 32000);
   harness::Table t({"layout/proto", "avg-lat", "updates", "useful-upd",
                     "false-upd", "misses"});
 

@@ -15,7 +15,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   harness::Table t({"layout/proto", "avg-lat", "misses", "updates", "useful-upd",
                     "prolif-upd"});
   const unsigned p = opts.procs.back();
-  const std::uint64_t total = opts.scaled(32000);
+  const std::uint64_t total = harness::scaled(opts.scale, 32000);
 
   for (bool padded : {false, true}) {
     for (proto::Protocol proto : kProtocols) {

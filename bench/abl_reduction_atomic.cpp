@@ -57,7 +57,7 @@ double run_atomic_sum(harness::ObsSession& obs, proto::Protocol p,
 }
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  const std::uint64_t rounds = opts.scaled(5000);
+  const std::uint64_t rounds = harness::scaled(opts.scale, 5000);
   std::vector<std::string> headers{"red/proto"};
   for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
   harness::Table t(std::move(headers));
@@ -66,12 +66,12 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (harness::ReductionKind k :
        {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(reduction_tag(k), proto)};
+      std::vector<std::string> row{series_label(k, proto)};
       for (unsigned p : opts.procs) {
         harness::MachineConfig cfg;
         cfg.protocol = proto;
         cfg.nprocs = p;
-        obs.configure(cfg, series_label(reduction_tag(k), proto) + "/P" +
+        obs.configure(cfg, series_label(k, proto) + "/P" +
                                std::to_string(p));
         const auto r = harness::run_reduction_experiment(cfg, k, {.rounds = rounds});
         obs.record(r);

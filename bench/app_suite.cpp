@@ -35,19 +35,19 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (proto::Protocol proto : kProtocols) {
     const std::string tag = std::string(proto::to_string(proto));
     apps::SorParams sor;
-    sor.sweeps = static_cast<int>(opts.scaled(640));
+    sor.sweeps = static_cast<int>(harness::scaled(opts.scale, 640));
     emit("sor/" + tag, [&](const harness::ObsConfig* o) {
       return apps::run_sor(proto, p, sor, o);
     });
 
     apps::HistogramParams hist;
-    hist.items_per_proc = static_cast<unsigned>(opts.scaled(1280));
+    hist.items_per_proc = static_cast<unsigned>(harness::scaled(opts.scale, 1280));
     emit("histogram/" + tag, [&](const harness::ObsConfig* o) {
       return apps::run_histogram(proto, p, hist, o);
     });
 
     apps::NbodyParams nb;
-    nb.steps = static_cast<int>(opts.scaled(320));
+    nb.steps = static_cast<int>(harness::scaled(opts.scale, 320));
     emit("nbody-pr/" + tag, [&](const harness::ObsConfig* o) {
       return apps::run_nbody_step(proto, p, nb, o);
     });
@@ -57,7 +57,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     });
 
     apps::PipelineParams pipe;
-    pipe.items = static_cast<unsigned>(opts.scaled(2560));
+    pipe.items = static_cast<unsigned>(harness::scaled(opts.scale, 2560));
     emit("pipeline/" + tag, [&](const harness::ObsConfig* o) {
       return apps::run_pipeline(proto, p, pipe, o);
     });

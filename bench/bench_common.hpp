@@ -6,6 +6,7 @@
 #include "harness/sweep.hpp"
 
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -15,18 +16,7 @@ namespace ccbench {
 
 using namespace ccsim;
 
-/// The protocols the figure benches sweep. Protocol::Hybrid is
-/// deliberately excluded: a hybrid machine is meaningless without
-/// per-region Machine::bind_protocol calls choosing a protocol for each
-/// allocation, and the generic figure workloads make none (every region
-/// would silently run hybrid_default, duplicating a pure-protocol
-/// column under a misleading label). The dedicated abl_hybrid bench,
-/// which binds each construct's memory to its best protocol, is the one
-/// place hybrid machines are measured; series_label still handles
-/// Hybrid ("/h") for that bench's tables.
-inline constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI,
-                                                 proto::Protocol::PU,
-                                                 proto::Protocol::CU};
+using harness::kProtocols;
 
 /// "tk/i" style series label, matching the paper's bar labels ("tk", "MCS",
 /// "uc" x "i", "u", "c"); "h" = hybrid (abl_hybrid only, see kProtocols).
@@ -42,27 +32,9 @@ inline std::string series_label(std::string_view algo, proto::Protocol p) {
   return s;
 }
 
-inline std::string_view lock_tag(harness::LockKind k) {
-  switch (k) {
-    case harness::LockKind::Ticket: return "tk";
-    case harness::LockKind::Mcs: return "MCS";
-    case harness::LockKind::UcMcs: return "uc";
-  }
-  return "?";
-}
-
-inline std::string_view barrier_tag(harness::BarrierKind k) {
-  switch (k) {
-    case harness::BarrierKind::Central: return "cb";
-    case harness::BarrierKind::Dissemination: return "db";
-    case harness::BarrierKind::Tree: return "tb";
-    case harness::BarrierKind::CombiningTree: return "ct";
-  }
-  return "?";
-}
-
-inline std::string_view reduction_tag(harness::ReductionKind k) {
-  return k == harness::ReductionKind::Parallel ? "pr" : "sr";
+/// series_label for one of the paper's constructs, by its short tag.
+inline std::string series_label(const harness::Construct& c, proto::Protocol p) {
+  return series_label(harness::short_tag(c), p);
 }
 
 inline void print_table(const harness::Table& t, const harness::BenchOptions& o) {
@@ -109,15 +81,76 @@ inline std::string cell_num(const harness::SweepResult& r, int precision = 1) {
 /// After the table is printed: report failed cells on stderr and exit
 /// nonzero (throwing matches bench_main's error path).
 inline void check_failures(const std::vector<harness::SweepResult>& results) {
-  std::size_t failed = 0;
-  for (const harness::SweepResult& r : results) {
-    if (r.ok) continue;
-    ++failed;
-    std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                 r.error.c_str());
-  }
-  if (failed != 0)
+  if (const std::size_t failed = harness::report_failures(results); failed != 0)
     throw std::runtime_error(std::to_string(failed) + " cell(s) failed");
+}
+
+/// A latency figure (8, 11, 14): one row per construct x protocol, one
+/// column per --procs value, each cell the paper's average latency.
+inline void latency_figure(const harness::BenchOptions& opts, harness::ObsSession& obs,
+                           std::string first_header,
+                           std::initializer_list<harness::Construct> kinds) {
+  std::vector<std::string> headers{std::move(first_header)};
+  for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
+  harness::Table t(std::move(headers));
+
+  std::vector<harness::SweepJob> jobs;
+  for (const harness::Construct& k : kinds)
+    for (proto::Protocol proto : kProtocols)
+      for (unsigned p : opts.procs)
+        jobs.push_back(harness::sweep_cell(
+            series_label(k, proto) + "/P" + std::to_string(p), k,
+            {.nprocs = p, .protocol = proto}, opts.scale));
+
+  const auto results = run_cells(jobs, opts, obs);
+  auto next = results.begin();
+  for (const harness::Construct& k : kinds) {
+    for (proto::Protocol proto : kProtocols) {
+      std::vector<std::string> row{series_label(k, proto)};
+      for (std::size_t i = 0; i < opts.procs.size(); ++i)
+        row.push_back(cell_num(*next++));
+      t.add_row(std::move(row));
+    }
+  }
+  print_table(t, opts);
+  check_failures(results);
+}
+
+/// A traffic figure (9/10, 12/13, 15/16): one row per construct x
+/// protocol at the largest --procs value, its cells the categorized miss
+/// or update counts. Update traffic exists only under PU and CU.
+enum class Traffic { Misses, Updates };
+
+inline void traffic_figure(const harness::BenchOptions& opts, harness::ObsSession& obs,
+                           std::string first_header,
+                           std::initializer_list<harness::Construct> kinds,
+                           Traffic traffic) {
+  const bool misses = traffic == Traffic::Misses;
+  std::vector<std::string> headers{std::move(first_header)};
+  for (const auto& h : misses ? harness::miss_headers() : harness::update_headers())
+    headers.push_back(h);
+  harness::Table t(std::move(headers));
+
+  std::vector<harness::SweepJob> jobs;
+  for (const harness::Construct& k : kinds)
+    for (proto::Protocol proto : kProtocols)
+      if (misses || proto != proto::Protocol::WI)
+        jobs.push_back(harness::sweep_cell(
+            series_label(k, proto), k, {.nprocs = opts.procs.back(), .protocol = proto},
+            opts.scale));
+
+  const auto results = run_cells(jobs, opts, obs);
+  for (const harness::SweepResult& r : results) {
+    const stats::Counters& c = r.run.counters;
+    std::vector<std::string> row{r.name};
+    const std::vector<std::string> cells = !r.ok    ? std::vector<std::string>{"err"}
+                                           : misses ? harness::miss_cells(c.misses)
+                                                    : harness::update_cells(c.updates);
+    row.insert(row.end(), cells.begin(), cells.end());
+    t.add_row(std::move(row));
+  }
+  print_table(t, opts);
+  check_failures(results);
 }
 
 /// Strip a leading path and a trailing extension from argv[0] to name the
@@ -136,7 +169,12 @@ inline int bench_main(int argc, char** argv, const char* title,
                                    harness::ObsSession&)) {
   try {
     const harness::BenchOptions opts = harness::parse_bench_args(argc, argv);
-    harness::ObsSession obs(opts.obs, bench_name(argc > 0 ? argv[0] : nullptr));
+    const std::string name = bench_name(argc > 0 ? argv[0] : nullptr);
+    if (opts.help) {
+      std::printf("%s", harness::bench_usage(name).c_str());
+      return 0;
+    }
+    harness::ObsSession obs(opts.obs, name);
     if (!opts.csv) {
       std::printf("%s\n", title);
       std::printf("(scale=%.3g of the paper's iteration counts; --paper for full)\n\n",

@@ -9,28 +9,10 @@ using namespace ccbench;
 namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  std::vector<std::string> headers{"lock/proto"};
-  for (const auto& h : harness::miss_headers()) headers.push_back(h);
-  harness::Table t(std::move(headers));
-
-  const unsigned p = opts.procs.back();
-  for (harness::LockKind k :
-       {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs}) {
-    for (proto::Protocol proto : kProtocols) {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto;
-      cfg.nprocs = p;
-      harness::LockParams params;
-      params.total_acquires = opts.scaled(32000);
-      obs.configure(cfg, series_label(lock_tag(k), proto));
-      const auto r = harness::run_lock_experiment(cfg, k, params);
-      obs.record(r);
-      std::vector<std::string> row{series_label(lock_tag(k), proto)};
-      for (auto& cell : harness::miss_cells(r.counters.misses)) row.push_back(cell);
-      t.add_row(std::move(row));
-    }
-  }
-  print_table(t, opts);
+  traffic_figure(opts, obs, "lock/proto",
+                 {harness::LockKind::Ticket, harness::LockKind::Mcs,
+                  harness::LockKind::UcMcs},
+                 Traffic::Misses);
 }
 
 } // namespace

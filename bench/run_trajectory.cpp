@@ -9,10 +9,12 @@
 // documents; CI regenerates one per push and compares it against the
 // committed BENCH_ppopp97.json baseline.
 //
-//   run_trajectory [--out=FILE] [--scale=X] [--procs=a,b] [--paper]
-//                  [--jobs=N] [--host-metrics] [--progress] [--quiet]
+//   run_trajectory [--out FILE] [--scale X] [--procs a,b] [--paper]
+//                  [--jobs N] [--host-metrics] [--progress] [--quiet]
 //
-// Defaults: --out=BENCH_ppopp97.json, --scale=0.02, --procs=16, --jobs=1.
+// Defaults: --out BENCH_ppopp97.json, --scale 0.02, --procs 16, --jobs 1.
+// Flags follow the shared syntax of harness/cli.hpp (`--flag value` and
+// `--flag=value` alike); --help prints usage and exits 0.
 // --progress paints a live stderr cell counter (TTY only; progress is
 // presentation, not data, so the written document is unaffected) and
 // --quiet suppresses the final "wrote N benchmarks" confirmation.
@@ -26,8 +28,6 @@
 // regenerated at full parallelism); a given tree always produces the
 // same bytes and the baseline can be compared exactly.
 #include "bench_common.hpp"
-#include "harness/progress.hpp"
-#include "harness/sweep.hpp"
 #include "harness/trajectory.hpp"
 
 #include <fstream>
@@ -69,82 +69,87 @@ std::string point_name(std::string_view fig, std::string_view tag,
   return s;
 }
 
-harness::MachineConfig machine(proto::Protocol proto, unsigned p,
-                               bool host_metrics) {
-  harness::MachineConfig cfg;
-  cfg.protocol = proto;
-  cfg.nprocs = p;
-  cfg.obs.profile = true;  // the breakdown vector is part of the document
-  cfg.obs.host_metrics = host_metrics;
-  return cfg;
+/// The figure whose program a construct family's entries come from.
+std::string_view figure_of(harness::ConstructFamily f) {
+  switch (f) {
+    case harness::ConstructFamily::Lock: return "fig08";
+    case harness::ConstructFamily::Barrier: return "fig11";
+    case harness::ConstructFamily::Reduction: return "fig14";
+  }
+  return "?";
 }
 
-std::vector<harness::SweepJob> suite_jobs(const harness::BenchOptions& opts) {
-  std::vector<harness::SweepJob> jobs;
-  for (proto::Protocol proto : kProtocols) {
-    for (unsigned p : opts.procs) {
-      for (harness::LockKind k : {harness::LockKind::Ticket, harness::LockKind::Mcs,
-                                  harness::LockKind::UcMcs}) {
-        harness::SweepJob j;
-        j.name = point_name("fig08", lock_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Lock;
-        j.lock = k;
-        j.lock_params.total_acquires = opts.scaled(32000);
-        jobs.push_back(std::move(j));
-      }
-      for (harness::BarrierKind k :
-           {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-            harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
-        harness::SweepJob j;
-        j.name = point_name("fig11", barrier_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Barrier;
-        j.barrier = k;
-        j.barrier_params.episodes = opts.scaled(5000);
-        jobs.push_back(std::move(j));
-      }
-      for (harness::ReductionKind k :
-           {harness::ReductionKind::Parallel, harness::ReductionKind::Sequential}) {
-        harness::SweepJob j;
-        j.name = point_name("fig14", reduction_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Reduction;
-        j.reduction = k;
-        j.reduction_params.rounds = opts.scaled(5000);
-        jobs.push_back(std::move(j));
-      }
+struct Options {
+  std::string out = "BENCH_ppopp97.json";
+  double scale = 0.02;
+  std::vector<unsigned> procs{16};
+  unsigned jobs = 1;
+  bool host_metrics = false;
+  bool progress = false;
+  bool quiet = false;
+};
+
+void usage() {
+  std::printf(
+      "usage: run_trajectory [--out FILE] [--paper | --scale X] [--procs a,b,...]\n"
+      "                      [--jobs N] [--host-metrics] [--progress] [--quiet]\n");
+}
+
+Options parse_args(int argc, char** argv) {
+  Options o;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    std::string v;
+    if (harness::take_value("--out", argc, argv, i, v)) {
+      o.out = v;
+    } else if (a == "--paper") {
+      o.scale = 1.0;
+    } else if (harness::take_value("--scale", argc, argv, i, v)) {
+      o.scale = harness::parse_scale("--scale", v);
+    } else if (harness::take_value("--procs", argc, argv, i, v)) {
+      o.procs = harness::parse_procs_list("--procs", v);
+    } else if (harness::take_value("--jobs", argc, argv, i, v)) {
+      o.jobs = harness::parse_uint("--jobs", v);
+    } else if (a == "--host-metrics") {
+      o.host_metrics = true;
+    } else if (a == "--progress") {
+      o.progress = true;
+    } else if (a == "--quiet") {
+      o.quiet = true;
+    } else if (harness::is_help(a)) {
+      usage();
+      std::exit(0);
+    } else {
+      throw std::invalid_argument("unknown argument: " + a);
     }
   }
-  return jobs;
+  return o;
 }
 
-harness::TrajectoryDoc run_suite(const harness::BenchOptions& opts, bool progress) {
-  harness::SweepOptions so;
-  so.jobs = opts.jobs;
-  const std::vector<harness::SweepJob> jobs = suite_jobs(opts);
-  harness::ProgressReporter reporter(std::cerr, jobs.size());
-  if (progress)
-    so.progress = [&reporter](std::size_t done, std::size_t) {
-      reporter.update(done);
-    };
-  const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-  reporter.finish();
+harness::TrajectoryDoc run_suite(const Options& o) {
+  std::vector<harness::SweepJob> jobs;
+  for (proto::Protocol proto : kProtocols) {
+    for (unsigned p : o.procs) {
+      harness::MachineConfig cfg;
+      cfg.protocol = proto;
+      cfg.nprocs = p;
+      cfg.obs.profile = true;  // the breakdown vector is part of the document
+      cfg.obs.host_metrics = o.host_metrics;
+      for (const harness::Construct& c : harness::kConstructs)
+        jobs.push_back(harness::sweep_cell(
+            point_name(figure_of(c.family), harness::short_tag(c), proto, p), c,
+            cfg, o.scale));
+    }
+  }
+  const std::vector<harness::SweepResult> results =
+      harness::run_sweep_reported(jobs, o.jobs, o.progress && !o.quiet);
 
   harness::TrajectoryDoc doc;
   doc.bench = "ppopp97";
-  std::size_t failed = 0;
-  for (const harness::SweepResult& r : results) {
-    if (!r.ok) {
-      ++failed;
-      std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                   r.error.c_str());
-      continue;
-    }
-    doc.entries.push_back(make_entry(r.name, r.run));
-  }
-  if (failed != 0)
-    throw std::runtime_error(std::to_string(failed) +
+  for (const harness::SweepResult& r : results)
+    if (r.ok) doc.entries.push_back(make_entry(r.name, r.run));
+  if (doc.entries.size() != results.size())
+    throw std::runtime_error(std::to_string(results.size() - doc.entries.size()) +
                              " cell(s) failed; refusing to write a partial "
                              "trajectory");
   return doc;
@@ -154,64 +159,16 @@ harness::TrajectoryDoc run_suite(const harness::BenchOptions& opts, bool progres
 
 int main(int argc, char** argv) {
   try {
-    std::string out = "BENCH_ppopp97.json";
-    bool progress = false;
-    bool quiet = false;
-    harness::BenchOptions opts;
-    opts.scale = 0.02;
-    opts.procs = {16};
-    // Same flags as the figure benches, plus --out; re-parse what we need
-    // here because the trajectory writer has no table/CSV output.
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--out=", 0) == 0) {
-        out = a.substr(6);
-      } else if (a == "--paper") {
-        opts.scale = 1.0;
-      } else if (a.rfind("--scale=", 0) == 0) {
-        opts.scale = std::atof(a.c_str() + 8);
-      } else if (a.rfind("--jobs=", 0) == 0) {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(a.c_str() + 7, &end, 10);
-        if (end == a.c_str() + 7 || *end != '\0')
-          throw std::invalid_argument("--jobs needs a non-negative integer");
-        opts.jobs = static_cast<unsigned>(n);
-      } else if (a == "--host-metrics") {
-        opts.obs.host_metrics = true;
-      } else if (a == "--progress") {
-        progress = true;
-      } else if (a == "--quiet") {
-        quiet = true;
-      } else if (a.rfind("--procs=", 0) == 0) {
-        std::vector<unsigned> procs;
-        std::string list = a.substr(8);
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-          std::size_t comma = list.find(',', pos);
-          if (comma == std::string::npos) comma = list.size();
-          procs.push_back(
-              static_cast<unsigned>(std::stoul(list.substr(pos, comma - pos))));
-          pos = comma + 1;
-        }
-        if (procs.empty())
-          throw std::invalid_argument("--procs needs at least one value");
-        opts.procs = std::move(procs);
-      } else {
-        throw std::invalid_argument("unknown argument: " + a);
-      }
-    }
-    if (opts.scale <= 0.0 || opts.scale > 1.0)
-      throw std::invalid_argument("scale must be in (0, 1]");
-
-    const harness::TrajectoryDoc doc = run_suite(opts, progress && !quiet);
-    if (out == "-") {
+    const Options o = parse_args(argc, argv);
+    const harness::TrajectoryDoc doc = run_suite(o);
+    if (o.out == "-") {
       harness::write_trajectory(std::cout, doc);
     } else {
-      std::ofstream os(out);
-      if (!os) throw std::runtime_error("cannot open output file: " + out);
+      std::ofstream os(o.out);
+      if (!os) throw std::runtime_error("cannot open output file: " + o.out);
       harness::write_trajectory(os, doc);
-      if (!quiet)
-        std::cout << "wrote " << doc.entries.size() << " benchmarks to " << out
+      if (!o.quiet)
+        std::cout << "wrote " << doc.entries.size() << " benchmarks to " << o.out
                   << "\n";
     }
     return 0;

@@ -7,10 +7,23 @@
 
 namespace ccsim::harness {
 
+namespace {
+/// Reject machine sizes the model cannot represent before any member is
+/// built from them (a zero-node mesh divides by zero; sharer bitmaps are
+/// 32 bits wide).
+const MachineConfig& checked(const MachineConfig& cfg) {
+  if (cfg.nprocs == 0 || cfg.nprocs > kMaxProcs)
+    throw std::invalid_argument("Machine: nprocs must be in [1, " +
+                                std::to_string(kMaxProcs) + "], got " +
+                                std::to_string(cfg.nprocs));
+  return cfg;
+}
+} // namespace
+
 Machine::Machine(MachineConfig cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       trace_(cfg.trace || cfg.obs.sink || cfg.obs.check_invariants
-                 ? std::make_unique<sim::TraceLog>()
+                 ? std::make_unique<obs::TraceLog>()
                  : nullptr),
       alloc_(cfg.nprocs),
       misses_(cfg.nprocs, counters_),

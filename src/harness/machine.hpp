@@ -81,7 +81,7 @@ struct ObsConfig {
 };
 
 struct MachineConfig {
-  unsigned nprocs = 32;
+  unsigned nprocs = 32;  ///< in [1, kMaxProcs]; Machine throws otherwise
   proto::Protocol protocol = proto::Protocol::WI;
   std::size_t cache_bytes = 64 * 1024;  ///< direct-mapped, 64 B blocks
   std::size_t wb_entries = 4;
@@ -110,6 +110,7 @@ class Machine {
 public:
   using Program = std::function<sim::Task(cpu::Cpu&)>;
 
+  /// Throws std::invalid_argument unless cfg.nprocs is in [1, kMaxProcs].
   explicit Machine(MachineConfig cfg);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -143,7 +144,7 @@ public:
   [[nodiscard]] proto::Node& node(NodeId i) { return *nodes_.at(i); }
   [[nodiscard]] unsigned nprocs() const noexcept { return cfg_.nprocs; }
   /// The attached trace log, or nullptr when MachineConfig::trace is off.
-  [[nodiscard]] sim::TraceLog* trace() noexcept { return trace_.get(); }
+  [[nodiscard]] obs::TraceLog* trace() noexcept { return trace_.get(); }
 
   /// Per-interval counter samples (empty unless obs.sample_interval > 0).
   [[nodiscard]] const obs::IntervalSeries& samples() const noexcept {
@@ -176,7 +177,7 @@ private:
 
   MachineConfig cfg_;
   sim::EventQueue q_;
-  std::unique_ptr<sim::TraceLog> trace_;
+  std::unique_ptr<obs::TraceLog> trace_;
   stats::Counters counters_;
   mem::SharedAllocator alloc_;
   stats::MissClassifier misses_;

@@ -203,6 +203,23 @@ void write_run_fields(stats::JsonWriter& w, const RunResult& r) {
   }
 }
 
+void write_sweep_cells(stats::JsonWriter& w, const std::vector<SweepResult>& results) {
+  w.key("cells").begin_array();
+  for (const SweepResult& r : results) {
+    w.begin_object();
+    w.key("name").value(r.name);
+    w.key("ok").value(r.ok);
+    if (r.ok) {
+      write_run_fields(w, r.run);
+    } else {
+      w.key("fail_kind").value(to_string(r.fail));
+      w.key("error").value(r.error);
+    }
+    w.end_object();
+  }
+  w.end_array();
+}
+
 void write_sharing_fields(stats::JsonWriter& w, const obs::SharingReport& s) {
   w.key("schema").value(obs::SharingReport::kSchema);
   w.key("nprocs").value(static_cast<std::uint64_t>(s.nprocs));

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "harness/cli.hpp"
+#include "harness/sweep.hpp"
 #include "harness/workloads.hpp"
 #include "stats/json.hpp"
 
@@ -68,6 +69,11 @@ void write_run_json(stats::JsonWriter& w, const std::string& label,
 /// tools/ccsweep so sweep cells and --json runs carry one schema
 /// (documented in docs/schema.md).
 void write_run_fields(stats::JsonWriter& w, const RunResult& r);
+
+/// Emit the key "cells" with one object per sweep result: name, ok, then
+/// the run fields or fail_kind and error. Shared by tools/ccsweep and
+/// tools/ccstress.
+void write_sweep_cells(stats::JsonWriter& w, const std::vector<SweepResult>& results);
 
 /// Emit the body of the "sharing" section (schema, per-pattern block
 /// counts, per-block rows, per-allocation aggregates, projected WI/PU/CU

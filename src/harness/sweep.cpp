@@ -1,7 +1,11 @@
 #include "harness/sweep.hpp"
 
+#include "harness/progress.hpp"
+
 #include <atomic>
 #include <algorithm>
+#include <cstdio>
+#include <iostream>
 #include <stdexcept>
 #include <thread>
 
@@ -14,6 +18,74 @@ std::string_view to_string(ConstructFamily f) noexcept {
     case ConstructFamily::Reduction: return "reduction";
   }
   return "?";
+}
+
+std::string_view short_tag(const Construct& c) noexcept {
+  switch (c.family) {
+    case ConstructFamily::Lock:
+      switch (c.lock) {
+        case LockKind::Ticket: return "tk";
+        case LockKind::Mcs: return "MCS";
+        case LockKind::UcMcs: return "uc";
+      }
+      break;
+    case ConstructFamily::Barrier:
+      switch (c.barrier) {
+        case BarrierKind::Central: return "cb";
+        case BarrierKind::Dissemination: return "db";
+        case BarrierKind::Tree: return "tb";
+        case BarrierKind::CombiningTree: return "ct";
+      }
+      break;
+    case ConstructFamily::Reduction:
+      return c.reduction == ReductionKind::Parallel ? "pr" : "sr";
+  }
+  return "?";
+}
+
+Construct parse_short_tag(std::string_view flag, ConstructFamily family,
+                          std::string_view tag) {
+  std::string known;
+  for (const Construct& c : kConstructs) {
+    if (c.family != family) continue;
+    const std::string_view t = short_tag(c);
+    if (tag == t || (tag == "mcs" && t == "MCS")) return c;
+    known += known.empty() ? "" : ", ";
+    known += t;
+  }
+  throw std::invalid_argument(std::string(flag) + ": unknown " +
+                              std::string(to_string(family)) + " \"" +
+                              std::string(tag) + "\" (" + known + ")");
+}
+
+std::uint64_t scaled(double scale, std::uint64_t paper_count) {
+  const auto n = static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
+  return n < 32 ? 32 : n;
+}
+
+SweepJob sweep_cell(std::string name, const Construct& c, const MachineConfig& m,
+                    double scale, std::optional<std::uint64_t> seed) {
+  SweepJob j;
+  j.name = std::move(name);
+  j.machine = m;
+  j.family = c.family;
+  switch (c.family) {
+    case ConstructFamily::Lock:
+      j.lock = c.lock;
+      j.lock_params.total_acquires = scaled(scale, j.lock_params.total_acquires);
+      if (seed) j.lock_params.seed = *seed;
+      break;
+    case ConstructFamily::Barrier:
+      j.barrier = c.barrier;
+      j.barrier_params.episodes = scaled(scale, j.barrier_params.episodes);
+      break;
+    case ConstructFamily::Reduction:
+      j.reduction = c.reduction;
+      j.reduction_params.rounds = scaled(scale, j.reduction_params.rounds);
+      if (seed) j.reduction_params.seed = *seed;
+      break;
+  }
+  return j;
 }
 
 std::string_view to_string(SweepResult::FailKind k) noexcept {
@@ -110,6 +182,30 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepJob>& jobs,
       });
     }
   }
+  return results;
+}
+
+std::size_t report_failures(const std::vector<SweepResult>& results) {
+  std::size_t failed = 0;
+  for (const SweepResult& r : results) {
+    if (r.ok) continue;
+    ++failed;
+    std::fprintf(stderr, "failed cell %s [%s]: %s\n", r.name.c_str(),
+                 std::string(to_string(r.fail)).c_str(), r.error.c_str());
+  }
+  return failed;
+}
+
+std::vector<SweepResult> run_sweep_reported(const std::vector<SweepJob>& jobs,
+                                            unsigned workers, bool progress) {
+  SweepOptions so;
+  so.jobs = workers;
+  ProgressReporter reporter(std::cerr, jobs.size());
+  if (progress)
+    so.progress = [&reporter](std::size_t done, std::size_t) { reporter.update(done); };
+  std::vector<SweepResult> results = run_sweep(jobs, so);
+  reporter.finish();
+  report_failures(results);
   return results;
 }
 

@@ -25,6 +25,7 @@
 #include "harness/workloads.hpp"
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,54 @@ namespace ccsim::harness {
 enum class ConstructFamily : std::uint8_t { Lock, Barrier, Reduction };
 
 [[nodiscard]] std::string_view to_string(ConstructFamily f) noexcept;
+
+/// One of the paper's synchronization constructs: a family and the kind
+/// within it (only the kind `family` selects is meaningful). Converts
+/// implicitly from each kind enum.
+struct Construct {
+  ConstructFamily family;
+  LockKind lock = LockKind::Ticket;
+  BarrierKind barrier = BarrierKind::Central;
+  ReductionKind reduction = ReductionKind::Sequential;
+
+  constexpr Construct(LockKind k) noexcept : family(ConstructFamily::Lock), lock(k) {}
+  constexpr Construct(BarrierKind k) noexcept
+      : family(ConstructFamily::Barrier), barrier(k) {}
+  constexpr Construct(ReductionKind k) noexcept
+      : family(ConstructFamily::Reduction), reduction(k) {}
+  friend constexpr bool operator==(const Construct&, const Construct&) = default;
+};
+
+/// The protocols every grid sweeps. Protocol::Hybrid is deliberately
+/// excluded: a hybrid machine is meaningless without per-region
+/// Machine::bind_protocol calls choosing a protocol for each allocation,
+/// and the generic construct workloads make none (every region would
+/// silently run hybrid_default, duplicating a pure-protocol cell under a
+/// misleading label). The dedicated abl_hybrid bench, which binds each
+/// construct's memory to its best protocol, is the one place hybrid
+/// machines are measured.
+inline constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI,
+                                                 proto::Protocol::PU,
+                                                 proto::Protocol::CU};
+
+/// All nine constructs in the paper's figure order: the locks of figure 8,
+/// the barriers of figure 11, the reductions of figure 14.
+inline constexpr Construct kConstructs[] = {
+    LockKind::Ticket,           LockKind::Mcs,           LockKind::UcMcs,
+    BarrierKind::Central,       BarrierKind::Dissemination, BarrierKind::Tree,
+    BarrierKind::CombiningTree, ReductionKind::Parallel, ReductionKind::Sequential};
+
+/// The paper's bar-label tag: tk, MCS, uc; cb, db, tb, ct; pr, sr.
+[[nodiscard]] std::string_view short_tag(const Construct& c) noexcept;
+
+/// The construct of `family` whose short_tag is `tag` ("mcs" also matches
+/// MCS). Throws std::invalid_argument naming `flag` and the known tags.
+[[nodiscard]] Construct parse_short_tag(std::string_view flag,
+                                        ConstructFamily family,
+                                        std::string_view tag);
+
+/// Apply a scale factor to one of the paper's iteration counts (>= 32).
+[[nodiscard]] std::uint64_t scaled(double scale, std::uint64_t paper_count);
 
 /// One cell of a sweep grid: everything needed to run one simulation.
 /// Only the member selected by `family` (and its params) is consulted.
@@ -70,6 +119,14 @@ struct SweepResult {
 
 [[nodiscard]] std::string_view to_string(SweepResult::FailKind k) noexcept;
 
+/// The job for one grid cell: construct `c` on machine `m` at the paper's
+/// iteration counts (the LockParams / BarrierParams / ReductionParams
+/// defaults) times `scale`. `seed`, when given, replaces the lock or
+/// reduction default seed; barriers take none.
+[[nodiscard]] SweepJob sweep_cell(std::string name, const Construct& c,
+                                  const MachineConfig& m, double scale,
+                                  std::optional<std::uint64_t> seed = std::nullopt);
+
 struct SweepOptions {
   /// Worker threads. 1 = in-caller sequential execution (still with
   /// failure containment); 0 = one per hardware thread. The pool never
@@ -90,5 +147,14 @@ struct SweepOptions {
 /// only cross-job shared state; see the header comment).
 [[nodiscard]] std::vector<SweepResult> run_sweep(
     const std::vector<SweepJob>& jobs, const SweepOptions& opts = {});
+
+/// Print "failed cell NAME [KIND]: ERROR" on stderr for each failed cell;
+/// returns how many failed.
+std::size_t report_failures(const std::vector<SweepResult>& results);
+
+/// The tools' sweep: run_sweep on `workers` threads with a live progress
+/// line on stderr when `progress` is set (TTY only), then report_failures.
+[[nodiscard]] std::vector<SweepResult> run_sweep_reported(
+    const std::vector<SweepJob>& jobs, unsigned workers, bool progress);
 
 } // namespace ccsim::harness

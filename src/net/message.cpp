@@ -18,7 +18,6 @@ std::string_view to_string(MsgType t) noexcept {
     case MsgType::OwnerDataX: return "OwnerDataX";
     case MsgType::SharedWB: return "SharedWB";
     case MsgType::ExclDone: return "ExclDone";
-    case MsgType::TransferAck: return "TransferAck";
     case MsgType::FwdNack: return "FwdNack";
     case MsgType::Writeback: return "Writeback";
     case MsgType::WritebackAck: return "WritebackAck";

@@ -29,7 +29,6 @@ enum class MsgType : std::uint8_t {
   SharedWB,    ///< owner -> home: demotion writeback closing a FwdGetS
   ExclDone,    ///< requester -> home: exclusive data received, close the
                ///< transaction (prevents forwards overtaking the grant)
-  TransferAck, ///< (unused legacy) owner -> home transfer notice
   FwdNack,     ///< owner -> home: I no longer hold the block (race w/ WB)
   Writeback,   ///< cache -> home: evicting a dirty block (carries data)
   WritebackAck,///< home -> cache

@@ -47,9 +47,10 @@ double SharingReport::total_cost(proto::Protocol p) const noexcept {
 SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold,
                                SharingConfig cfg)
     : nprocs_(nprocs), cu_threshold_(cu_threshold), cfg_(cfg) {
-  if (nprocs == 0 || nprocs > 32)
-    throw std::invalid_argument(
-        "SharingTracker: nprocs must be in [1, 32] (32-bit accessor sets)");
+  if (nprocs == 0 || nprocs > kMaxProcs)
+    throw std::invalid_argument("SharingTracker: nprocs must be in [1, " +
+                                std::to_string(kMaxProcs) +
+                                "] (32-bit accessor sets)");
 }
 
 void SharingTracker::on_read(NodeId reader, Addr a) {

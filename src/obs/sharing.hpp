@@ -183,8 +183,8 @@ public:
     Dropped,  ///< tripped the competitive-update counter (self-invalidate)
   };
 
-  /// Throws std::invalid_argument if nprocs exceeds 32 (accessor sets are
-  /// 32-bit node bitmaps, matching the machine's maximum).
+  /// Throws std::invalid_argument if nprocs is 0 or exceeds kMaxProcs
+  /// (accessor sets are 32-bit node bitmaps, matching the machine's maximum).
   explicit SharingTracker(unsigned nprocs, unsigned cu_threshold,
                           SharingConfig cfg = {});
 
@@ -249,7 +249,7 @@ private:
     // received without reading. Protocol-invariant by construction -- it
     // only consumes the global write order and per-node reads.
     std::uint32_t copies = 0, cu_live = 0;
-    std::array<std::uint8_t, 32> cu_streak{};
+    std::array<std::uint8_t, kMaxProcs> cu_streak{};
     std::uint64_t pu_updates = 0, cu_updates = 0, cu_refetches = 0;
     std::uint64_t invals_sent = 0, writable_grants = 0;
     std::uint64_t updates_delivered = 0, updates_wasted = 0,

@@ -15,7 +15,6 @@ bool is_home_bound(net::MsgType t) noexcept {
     case MsgType::Upgrade:
     case MsgType::SharedWB:
     case MsgType::ExclDone:
-    case MsgType::TransferAck:
     case MsgType::FwdNack:
     case MsgType::Writeback:
     case MsgType::ReplHint:

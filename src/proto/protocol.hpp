@@ -11,7 +11,7 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 #include "stats/counters.hpp"
 #include "stats/miss_classifier.hpp"
 #include "stats/update_classifier.hpp"
@@ -68,7 +68,7 @@ struct ProtocolContext {
   stats::UpdateClassifier& updates;
   unsigned nprocs;
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
-  sim::TraceLog* trace = nullptr;  ///< optional structured event trace
+  obs::TraceLog* trace = nullptr;  ///< optional structured event trace
   obs::HotBlockTable* hot = nullptr;  ///< optional per-block attribution
   obs::CycleLedger* ledger = nullptr;  ///< optional cycle-accounting profiler
   /// Optional runtime coherence-invariant checker (obs/invariants.hpp).

@@ -7,8 +7,8 @@
 // instructions obtain an exclusive copy and execute in the cache controller.
 //
 // Home side: one transaction per block at a time (queued); dirty blocks are
-// forwarded DASH-style (home -> owner -> requester, with a SharedWB /
-// TransferAck closing message back to the home). Races between forwards and
+// forwarded DASH-style (home -> owner -> requester, with a SharedWB or
+// ExclDone closing message back to the home). Races between forwards and
 // evictions resolve with FwdNack + writeback replay.
 #pragma once
 

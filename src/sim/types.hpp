@@ -18,4 +18,9 @@ using Addr = std::uint64_t;
 
 inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
+/// Largest simulated machine (DESIGN.md section 5): the paper's 32-node
+/// DASH-like machine. Sharer sets are 32-bit node bitmaps, so Machine
+/// rejects any larger configuration up front.
+inline constexpr unsigned kMaxProcs = 32;
+
 } // namespace ccsim

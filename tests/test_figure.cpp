@@ -1,12 +1,16 @@
 // Table formatting / CLI parsing used by the figure benches.
 #include "harness/cli.hpp"
 #include "harness/figure.hpp"
+#include "harness/machine.hpp"
+#include "harness/sweep.hpp"
 #include "stats/counters.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -97,7 +101,7 @@ TEST(Cli, ScaledCountsHaveFloor) {
   char prog[] = "bench", s[] = "--scale=0.0001";
   char* argv[] = {prog, s};
   const BenchOptions o = harness::parse_bench_args(2, argv);
-  EXPECT_EQ(o.scaled(32000), 32u);
+  EXPECT_EQ(harness::scaled(o.scale, 32000), 32u);
 }
 
 TEST(Cli, RejectsBadArgs) {
@@ -107,6 +111,115 @@ TEST(Cli, RejectsBadArgs) {
   char s2[] = "--scale=7";
   char* argv2[] = {prog, s2};
   EXPECT_THROW(harness::parse_bench_args(2, argv2), std::invalid_argument);
+}
+
+/// parse_bench_args over a list of arguments (argv[0] supplied).
+BenchOptions parse(const std::vector<std::string>& args) {
+  std::vector<std::string> store{"bench"};
+  store.insert(store.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& s : store) argv.push_back(s.data());
+  return harness::parse_bench_args(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The message parse_bench_args throws for `args` ("" if it accepts them).
+std::string rejection(const std::vector<std::string>& args) {
+  try {
+    parse(args);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, EveryValueFlagAcceptsBothForms) {
+  unsetenv("REPRO_SCALE");
+  const std::vector<std::pair<std::string, std::string>> flags{
+      {"--scale", "0.25"},       {"--procs", "2,8"},   {"--jobs", "3"},
+      {"--json", "m.json"},      {"--trace-out", "t"}, {"--trace-format", "jsonl"},
+      {"--sample-interval", "7"}, {"--hot-top", "5"}};
+  for (const auto& [flag, value] : flags) {
+    const BenchOptions eq = parse({flag + "=" + value});
+    const BenchOptions sep = parse({flag, value});
+    EXPECT_EQ(eq.scale, sep.scale) << flag;
+    EXPECT_EQ(eq.procs, sep.procs) << flag;
+    EXPECT_EQ(eq.jobs, sep.jobs) << flag;
+    EXPECT_EQ(eq.obs.json_path, sep.obs.json_path) << flag;
+    EXPECT_EQ(eq.obs.trace_path, sep.obs.trace_path) << flag;
+    EXPECT_EQ(eq.obs.trace_format, sep.obs.trace_format) << flag;
+    EXPECT_EQ(eq.obs.sample_interval, sep.obs.sample_interval) << flag;
+    EXPECT_EQ(eq.obs.hot_top_k, sep.obs.hot_top_k) << flag;
+  }
+  const BenchOptions o = parse({"--scale", "0.25", "--procs", "2,8", "--jobs", "3",
+                                "--sample-interval", "7", "--hot-top", "5"});
+  EXPECT_DOUBLE_EQ(o.scale, 0.25);
+  EXPECT_EQ(o.procs, (std::vector<unsigned>{2, 8}));
+  EXPECT_EQ(o.jobs, 3u);
+  EXPECT_EQ(o.obs.sample_interval, 7u);
+  EXPECT_EQ(o.obs.hot_top_k, 5u);
+}
+
+TEST(Cli, BadValuesThrowNamingTheFlag) {
+  unsetenv("REPRO_SCALE");
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+      {{"--procs=0"}, "--procs"},        {{"--procs=33"}, "--procs"},
+      {{"--procs=2,,4"}, "--procs"},     {{"--scale=0.5x"}, "--scale"},
+      {{"--jobs=-1"}, "--jobs"},         {{"--procs", "2x"}, "--procs"},
+      {{"--procs"}, "--procs"},          {{"--sample-interval=10x"}, "--sample-interval"},
+      {{"--hot-top=0"}, "--hot-top"},    {{"--scale", "0"}, "--scale"}};
+  for (const auto& [args, flag] : cases) {
+    const std::string msg = rejection(args);
+    EXPECT_EQ(msg.rfind(flag, 0), 0u) << args.front() << " -> \"" << msg << '"';
+  }
+  EXPECT_EQ(rejection({"--procs=2,,4"}), "--procs: empty item in \"2,,4\"");
+  EXPECT_EQ(rejection({"--procs=33"}), "--procs must be in [1, 32]");
+  EXPECT_EQ(rejection({"--jobs=-1"}), "--jobs: bad number \"-1\"");
+}
+
+TEST(Cli, HelpIsRecognised) {
+  EXPECT_TRUE(parse({"--help"}).help);
+  EXPECT_TRUE(parse({"-h"}).help);
+  EXPECT_FALSE(parse({}).help);
+  EXPECT_NE(harness::bench_usage("fig08").find("usage: fig08"), std::string::npos);
+}
+
+TEST(Cli, ProcsLimitIsTheMachineLimit) {
+  EXPECT_EQ(parse({"--procs=1,32"}).procs,
+            (std::vector<unsigned>{1, kMaxProcs}));
+  for (unsigned n : {0u, kMaxProcs + 1}) {
+    harness::MachineConfig cfg;
+    cfg.nprocs = n;
+    EXPECT_THROW(harness::Machine m(cfg), std::invalid_argument) << n;
+  }
+  harness::MachineConfig cfg;
+  cfg.nprocs = kMaxProcs;
+  EXPECT_NO_THROW(harness::Machine m(cfg));
+}
+
+TEST(Cli, ShortTagsRoundTrip) {
+  for (const harness::Construct& c : harness::kConstructs)
+    EXPECT_EQ(harness::parse_short_tag("--x", c.family, harness::short_tag(c)), c);
+  EXPECT_EQ(harness::parse_short_tag("--locks", harness::ConstructFamily::Lock, "mcs"),
+            harness::Construct(harness::LockKind::Mcs));
+  EXPECT_THROW((void)harness::parse_short_tag("--barriers",
+                                              harness::ConstructFamily::Barrier, "tk"),
+               std::invalid_argument);
+}
+
+TEST(Cli, SweepCellScalesThePaperCounts) {
+  harness::MachineConfig cfg;
+  cfg.nprocs = 4;
+  const harness::SweepJob lock =
+      harness::sweep_cell("l", harness::LockKind::Mcs, cfg, 0.5, 9);
+  EXPECT_EQ(lock.family, harness::ConstructFamily::Lock);
+  EXPECT_EQ(lock.lock, harness::LockKind::Mcs);
+  EXPECT_EQ(lock.lock_params.total_acquires, 16000u);
+  EXPECT_EQ(lock.lock_params.seed, 9u);
+  EXPECT_EQ(lock.machine.nprocs, 4u);
+  const harness::SweepJob red =
+      harness::sweep_cell("r", harness::ReductionKind::Parallel, cfg, 0.0001);
+  EXPECT_EQ(red.reduction_params.rounds, 32u);
+  EXPECT_EQ(red.reduction_params.seed, harness::ReductionParams{}.seed);
 }
 
 TEST(Cli, EnvDefaultScale) {

@@ -13,16 +13,16 @@ using harness::MachineConfig;
 using proto::Protocol;
 
 TEST(TraceLog, RecordsAndFormats) {
-  sim::TraceLog t;
-  t.log(sim::TraceCat::Cache, 42, "cache%u <- %s", 3u, "GetS");
+  obs::TraceLog t;
+  t.log(obs::TraceCat::Cache, 42, "cache%u <- %s", 3u, "GetS");
   ASSERT_EQ(t.recent().size(), 1u);
   EXPECT_EQ(t.recent()[0], "t=42 [cache] cache3 <- GetS");
   EXPECT_EQ(t.total_events(), 1u);
 }
 
 TEST(TraceLog, RingBounded) {
-  sim::TraceLog t(static_cast<unsigned>(sim::TraceCat::All), 8);
-  for (int i = 0; i < 100; ++i) t.log(sim::TraceCat::Home, i, "ev%d", i);
+  obs::TraceLog t(static_cast<unsigned>(obs::TraceCat::All), 8);
+  for (int i = 0; i < 100; ++i) t.log(obs::TraceCat::Home, i, "ev%d", i);
   EXPECT_EQ(t.recent().size(), 8u);
   EXPECT_EQ(t.total_events(), 100u);
   EXPECT_EQ(t.recent().back(), "t=99 [home] ev99");
@@ -30,20 +30,20 @@ TEST(TraceLog, RingBounded) {
 }
 
 TEST(TraceLog, CategoryMasking) {
-  sim::TraceLog t(static_cast<unsigned>(sim::TraceCat::Home));
-  t.log(sim::TraceCat::Cache, 1, "hidden");
-  t.log(sim::TraceCat::Home, 2, "visible");
+  obs::TraceLog t(static_cast<unsigned>(obs::TraceCat::Home));
+  t.log(obs::TraceCat::Cache, 1, "hidden");
+  t.log(obs::TraceCat::Home, 2, "visible");
   ASSERT_EQ(t.recent().size(), 1u);
   EXPECT_EQ(t.recent()[0], "t=2 [home] visible");
   // Masked events are suppressed from the ring but still counted.
   EXPECT_EQ(t.total_events(), 2u);
-  EXPECT_TRUE(t.on(sim::TraceCat::Home));
-  EXPECT_FALSE(t.on(sim::TraceCat::Cache));
+  EXPECT_TRUE(t.on(obs::TraceCat::Home));
+  EXPECT_FALSE(t.on(obs::TraceCat::Cache));
 }
 
 TEST(TraceLog, TailJoinsLastN) {
-  sim::TraceLog t;
-  for (int i = 0; i < 5; ++i) t.log(sim::TraceCat::Cpu, i, "e%d", i);
+  obs::TraceLog t;
+  for (int i = 0; i < 5; ++i) t.log(obs::TraceCat::Cpu, i, "e%d", i);
   EXPECT_EQ(t.tail(2), "t=3 [cpu] e3\nt=4 [cpu] e4\n");
   EXPECT_EQ(t.tail(100), t.tail(5));
 }

@@ -1,7 +1,10 @@
 // bench_compare: diff two bench-trajectory documents and gate on regressions.
 //
-//   bench_compare BASELINE CANDIDATE [--max-regress=PCT] [--allow-missing]
-//                 [--max-tput-drop=PCT]
+//   bench_compare BASELINE CANDIDATE [--max-regress PCT] [--allow-missing]
+//                 [--max-tput-drop PCT]
+//
+// Flags follow the shared syntax of harness/cli.hpp (`--flag value` and
+// `--flag=value` alike, strict numbers, --help exits 0).
 //
 // Prints a per-benchmark table of the paper's latency metric (baseline,
 // candidate, delta) and exits nonzero when any benchmark's latency regresses
@@ -16,10 +19,10 @@
 // throughput gate applies only to entries where both documents carry a
 // "host" section; baselines written without --host-metrics (including the
 // committed one) compare on latency alone.
+#include "harness/cli.hpp"
 #include "harness/trajectory.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -45,20 +48,21 @@ int main(int argc, char** argv) {
     ccsim::harness::CompareOptions opt;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a.rfind("--max-regress=", 0) == 0) {
-        opt.max_regress_pct = std::atof(a.c_str() + 14);
+      std::string v;
+      if (ccsim::harness::take_value("--max-regress", argc, argv, i, v)) {
+        opt.max_regress_pct = ccsim::harness::parse_double("--max-regress", v);
         if (opt.max_regress_pct <= 0.0)
           throw std::invalid_argument("--max-regress must be > 0");
-      } else if (a.rfind("--max-tput-drop=", 0) == 0) {
-        opt.max_tput_drop_pct = std::atof(a.c_str() + 16);
+      } else if (ccsim::harness::take_value("--max-tput-drop", argc, argv, i, v)) {
+        opt.max_tput_drop_pct = ccsim::harness::parse_double("--max-tput-drop", v);
         if (opt.max_tput_drop_pct <= 0.0)
           throw std::invalid_argument("--max-tput-drop must be > 0");
       } else if (a == "--allow-missing") {
         opt.require_all = false;
-      } else if (a == "--help" || a == "-h") {
+      } else if (ccsim::harness::is_help(a)) {
         std::printf(
             "usage: bench_compare BASELINE CANDIDATE"
-            " [--max-regress=PCT] [--allow-missing] [--max-tput-drop=PCT]\n");
+            " [--max-regress PCT] [--allow-missing] [--max-tput-drop PCT]\n");
         return 0;
       } else if (!a.empty() && a[0] == '-') {
         throw std::invalid_argument("unknown argument: " + a);

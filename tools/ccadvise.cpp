@@ -4,6 +4,9 @@
 //   ccadvise [--procs N] [--scale X] [--jobs N] [--out FILE]
 //            [--tie PCT] [--threshold PCT] [--progress] [--quiet]
 //
+// Flags follow the shared syntax of harness/cli.hpp: `--flag value` and
+// `--flag=value` alike, strict numbers, --procs in [1, 32], --help exits 0.
+//
 // Runs the paper's nine synchronization constructs (three locks, four
 // barriers, two reductions -- figures 8, 11, 14) under WI / PU / CU.
 // The WI run of each construct carries the sharing tracker
@@ -26,7 +29,6 @@
 // of constructs (default 80); 1 = a cell failed or agreement fell below
 // the threshold; 2 = usage error.
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
@@ -44,9 +46,7 @@ using namespace ccsim;
 
 namespace {
 
-constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI,
-                                          proto::Protocol::PU,
-                                          proto::Protocol::CU};
+using harness::kProtocols;
 
 struct Options {
   unsigned procs = 16;
@@ -59,22 +59,6 @@ struct Options {
   bool quiet = false;
 };
 
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
 void usage() {
   std::printf(
       "usage: ccadvise [--procs N] [--scale X] [--jobs N] [--out FILE]\n"
@@ -86,35 +70,23 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (take_value("--procs", argc, argv, i, v)) {
-      const unsigned long p = std::strtoul(v.c_str(), nullptr, 10);
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0')
-        throw std::invalid_argument("--jobs needs a non-negative integer");
-      o.jobs = static_cast<unsigned>(n);
-    } else if (take_value("--out", argc, argv, i, v)) {
+    if (harness::take_value("--procs", argc, argv, i, v)) {
+      o.procs = harness::parse_procs("--procs", v);
+    } else if (harness::take_value("--scale", argc, argv, i, v)) {
+      o.scale = harness::parse_scale("--scale", v);
+    } else if (harness::take_value("--jobs", argc, argv, i, v)) {
+      o.jobs = harness::parse_uint("--jobs", v);
+    } else if (harness::take_value("--out", argc, argv, i, v)) {
       o.out = v;
-    } else if (take_value("--tie", argc, argv, i, v)) {
-      o.tie_pct = std::atof(v.c_str());
-      if (o.tie_pct < 0.0 || o.tie_pct > 100.0)
-        throw std::invalid_argument("--tie must be in [0, 100]");
-    } else if (take_value("--threshold", argc, argv, i, v)) {
-      o.threshold = std::atof(v.c_str());
-      if (o.threshold < 0.0 || o.threshold > 100.0)
-        throw std::invalid_argument("--threshold must be in [0, 100]");
+    } else if (harness::take_value("--tie", argc, argv, i, v)) {
+      o.tie_pct = harness::parse_percent("--tie", v);
+    } else if (harness::take_value("--threshold", argc, argv, i, v)) {
+      o.threshold = harness::parse_percent("--threshold", v);
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--quiet") {
       o.quiet = true;
-    } else if (a == "--help" || a == "-h") {
+    } else if (harness::is_help(a)) {
       usage();
       std::exit(0);
     } else {
@@ -124,73 +96,33 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
+/// A construct's row label, e.g. "lock/ticket".
+std::string construct_name(const harness::Construct& c) {
+  std::string s{harness::to_string(c.family)};
+  s += '/';
+  switch (c.family) {
+    case harness::ConstructFamily::Lock: s += harness::to_string(c.lock); break;
+    case harness::ConstructFamily::Barrier: s += harness::to_string(c.barrier); break;
+    case harness::ConstructFamily::Reduction: s += harness::to_string(c.reduction); break;
+  }
+  return s;
 }
 
-/// One construct of the validation matrix (one row of the report).
-struct Construct {
-  std::string name;  ///< e.g. "lock/tk"
-  harness::ConstructFamily family;
-  harness::LockKind lock = harness::LockKind::Ticket;
-  harness::BarrierKind barrier = harness::BarrierKind::Central;
-  harness::ReductionKind reduction = harness::ReductionKind::Parallel;
-};
-
-std::vector<Construct> construct_matrix() {
-  std::vector<Construct> cs;
-  for (harness::LockKind k : {harness::LockKind::Ticket, harness::LockKind::Mcs,
-                              harness::LockKind::UcMcs}) {
-    Construct c;
-    c.name = "lock/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Lock;
-    c.lock = k;
-    cs.push_back(std::move(c));
-  }
-  for (harness::BarrierKind k :
-       {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-        harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
-    Construct c;
-    c.name = "barrier/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Barrier;
-    c.barrier = k;
-    cs.push_back(std::move(c));
-  }
-  for (harness::ReductionKind k :
-       {harness::ReductionKind::Parallel, harness::ReductionKind::Sequential}) {
-    Construct c;
-    c.name = "reduction/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Reduction;
-    c.reduction = k;
-    cs.push_back(std::move(c));
-  }
-  return cs;
-}
-
-/// Jobs in construct-major order: results[c * 3 + p] is construct c under
-/// kProtocols[p]. Only the WI run carries the sharing tracker -- that is
-/// the run whose report drives the advice, and leaving it off the PU/CU
-/// runs keeps their cycle measurements a pure ground truth.
-std::vector<harness::SweepJob> build_matrix(const Options& o,
-                                            const std::vector<Construct>& cs) {
+/// Jobs in construct-major order: results[c * 3 + p] is kConstructs[c]
+/// under kProtocols[p]. Only the WI run carries the sharing tracker --
+/// that is the run whose report drives the advice, and leaving it off the
+/// PU/CU runs keeps their cycle measurements a pure ground truth.
+std::vector<harness::SweepJob> build_matrix(const Options& o) {
   std::vector<harness::SweepJob> jobs;
-  for (const Construct& c : cs) {
+  for (const harness::Construct& c : harness::kConstructs) {
     for (proto::Protocol proto : kProtocols) {
-      harness::SweepJob j;
-      j.name = c.name + "/" + std::string(proto::to_string(proto));
-      j.machine.protocol = proto;
-      j.machine.nprocs = o.procs;
-      j.machine.obs.sharing = proto == proto::Protocol::WI;
-      j.family = c.family;
-      j.lock = c.lock;
-      j.barrier = c.barrier;
-      j.reduction = c.reduction;
-      j.lock_params.total_acquires = scaled(o.scale, 32000);
-      j.barrier_params.episodes = scaled(o.scale, 5000);
-      j.reduction_params.rounds = scaled(o.scale, 5000);
-      jobs.push_back(std::move(j));
+      harness::MachineConfig cfg;
+      cfg.protocol = proto;
+      cfg.nprocs = o.procs;
+      cfg.obs.sharing = proto == proto::Protocol::WI;
+      jobs.push_back(harness::sweep_cell(
+          construct_name(c) + "/" + std::string(proto::to_string(proto)), c, cfg,
+          o.scale));
     }
   }
   return jobs;
@@ -208,10 +140,10 @@ struct Verdict {
   obs::SharingReport sharing;  ///< the WI run's report
 };
 
-Verdict judge(const Construct& c, const harness::SweepResult* runs,
+Verdict judge(std::string name, const harness::SweepResult* runs,
               double tie_pct) {
   Verdict v;
-  v.name = c.name;
+  v.name = std::move(name);
   for (int p = 0; p < 3; ++p) {
     if (!runs[p].ok) {
       v.error = runs[p].name + ": " + runs[p].error;
@@ -310,28 +242,17 @@ void write_report(std::ostream& os, const Options& o,
 int main(int argc, char** argv) {
   try {
     const Options o = parse_args(argc, argv);
-    const std::vector<Construct> cs = construct_matrix();
-    const std::vector<harness::SweepJob> jobs = build_matrix(o, cs);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
+    const std::vector<harness::SweepJob> jobs = build_matrix(o);
+    const std::vector<harness::SweepResult> results =
+        harness::run_sweep_reported(jobs, o.jobs, o.progress && !o.quiet);
 
     std::vector<Verdict> verdicts;
     std::size_t agreed = 0;
     bool any_failed = false;
-    for (std::size_t c = 0; c < cs.size(); ++c) {
-      Verdict v = judge(cs[c], &results[c * 3], o.tie_pct);
-      if (!v.ok) {
-        any_failed = true;
-        std::fprintf(stderr, "failed cell %s\n", v.error.c_str());
-      }
+    for (std::size_t c = 0; c < std::size(harness::kConstructs); ++c) {
+      Verdict v = judge(construct_name(harness::kConstructs[c]), &results[c * 3],
+                        o.tie_pct);
+      any_failed |= !v.ok;
       agreed += v.agree;
       verdicts.push_back(std::move(v));
     }

@@ -3,6 +3,9 @@
 //   ccperf [--procs N] [--scale X] [--jobs N] [--out FILE]
 //          [--progress] [--quiet]
 //
+// Flags follow the shared syntax of harness/cli.hpp: `--flag value` and
+// `--flag=value` alike, strict numbers, --procs in [1, 32], --help exits 0.
+//
 // Runs the paper's three constructs (ticket lock, central barrier,
 // parallel reduction) under WI / PU / CU with host-performance telemetry
 // attached (obs/host_perf.hpp) -- nine cells that together exercise every
@@ -21,7 +24,6 @@
 // nonzero throughput; 1 = a cell failed or timed so fast that throughput
 // rounded to zero; 2 = usage error.
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
@@ -47,22 +49,6 @@ struct Options {
   bool quiet = false;
 };
 
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
 void usage() {
   std::printf(
       "usage: ccperf [--procs N] [--scale X] [--jobs N] [--out FILE]\n"
@@ -74,27 +60,19 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (take_value("--procs", argc, argv, i, v)) {
-      const unsigned long p = std::strtoul(v.c_str(), nullptr, 10);
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0')
-        throw std::invalid_argument("--jobs needs a non-negative integer");
-      o.jobs = static_cast<unsigned>(n);
-    } else if (take_value("--out", argc, argv, i, v)) {
+    if (harness::take_value("--procs", argc, argv, i, v)) {
+      o.procs = harness::parse_procs("--procs", v);
+    } else if (harness::take_value("--scale", argc, argv, i, v)) {
+      o.scale = harness::parse_scale("--scale", v);
+    } else if (harness::take_value("--jobs", argc, argv, i, v)) {
+      o.jobs = harness::parse_uint("--jobs", v);
+    } else if (harness::take_value("--out", argc, argv, i, v)) {
       o.out = v;
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--quiet") {
       o.quiet = true;
-    } else if (a == "--help" || a == "-h") {
+    } else if (harness::is_help(a)) {
       usage();
       std::exit(0);
     } else {
@@ -104,44 +82,24 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
-}
+/// One construct per family, each run under WI, PU and CU.
+constexpr harness::Construct kCells[] = {harness::LockKind::Ticket,
+                                         harness::BarrierKind::Central,
+                                         harness::ReductionKind::Parallel};
 
 std::vector<harness::SweepJob> build_matrix(const Options& o) {
   std::vector<harness::SweepJob> jobs;
-  for (proto::Protocol proto :
-       {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {
+  for (proto::Protocol proto : harness::kProtocols) {
     harness::MachineConfig cfg;
     cfg.protocol = proto;
     cfg.nprocs = o.procs;
     cfg.obs.host_metrics = true;
-
-    harness::SweepJob lock;
-    lock.name = std::string(proto::to_string(proto)) + "/lock/tk";
-    lock.machine = cfg;
-    lock.family = harness::ConstructFamily::Lock;
-    lock.lock = harness::LockKind::Ticket;
-    lock.lock_params.total_acquires = scaled(o.scale, 32000);
-    jobs.push_back(std::move(lock));
-
-    harness::SweepJob barrier;
-    barrier.name = std::string(proto::to_string(proto)) + "/barrier/cb";
-    barrier.machine = cfg;
-    barrier.family = harness::ConstructFamily::Barrier;
-    barrier.barrier = harness::BarrierKind::Central;
-    barrier.barrier_params.episodes = scaled(o.scale, 5000);
-    jobs.push_back(std::move(barrier));
-
-    harness::SweepJob reduction;
-    reduction.name = std::string(proto::to_string(proto)) + "/reduction/pr";
-    reduction.machine = cfg;
-    reduction.family = harness::ConstructFamily::Reduction;
-    reduction.reduction = harness::ReductionKind::Parallel;
-    reduction.reduction_params.rounds = scaled(o.scale, 5000);
-    jobs.push_back(std::move(reduction));
+    const std::string prefix = std::string(proto::to_string(proto)) + "/";
+    for (const harness::Construct& c : kCells)
+      jobs.push_back(harness::sweep_cell(
+          prefix + std::string(harness::to_string(c.family)) + "/" +
+              std::string(harness::short_tag(c)),
+          c, cfg, o.scale));
   }
   return jobs;
 }
@@ -226,27 +184,14 @@ int main(int argc, char** argv) {
   try {
     const Options o = parse_args(argc, argv);
     const std::vector<harness::SweepJob> jobs = build_matrix(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
+    const std::vector<harness::SweepResult> results =
+        harness::run_sweep_reported(jobs, o.jobs, o.progress && !o.quiet);
 
     obs::HostPerfReport total;
     bool any_failed = false;
     for (const harness::SweepResult& r : results) {
-      if (!r.ok) {
-        any_failed = true;
-        std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                     r.error.c_str());
-        continue;
-      }
-      total.merge(r.run.host);
+      any_failed |= !r.ok;
+      if (r.ok) total.merge(r.run.host);
     }
 
     if (!o.quiet) print_table(std::cout, results, total);

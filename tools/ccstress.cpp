@@ -6,6 +6,9 @@
 //            [--no-check] [--inject-hang] [--host-metrics] [--out FILE]
 //            [--progress] [--quiet]
 //
+// Flags follow the shared syntax of harness/cli.hpp: `--flag value` and
+// `--flag=value` alike, strict numbers, --procs in [1, 32], --help exits 0.
+//
 // Fans a grid of (protocol x seed x network-jitter) stress cells through
 // the parallel sweep engine. Every cell runs the segment-structured random
 // workload of harness/stress.hpp -- randomized read/write/atomic/lock mixes
@@ -29,7 +32,6 @@
 // 4 = a cell violated a coherence invariant. Invariant beats deadlock
 // beats other when cells disagree.
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/stress.hpp"
 #include "harness/sweep.hpp"
 #include "sim/rng.hpp"
@@ -48,9 +50,8 @@ using namespace ccsim;
 namespace {
 
 struct Options {
-  std::vector<proto::Protocol> protocols{proto::Protocol::WI,
-                                         proto::Protocol::PU,
-                                         proto::Protocol::CU};
+  std::vector<proto::Protocol> protocols{std::begin(harness::kProtocols),
+                                         std::end(harness::kProtocols)};
   std::vector<std::uint64_t> seeds;  ///< filled from --seeds N if empty
   unsigned seed_count = 12;
   std::vector<Cycle> jitters{0, 3, 17};
@@ -68,52 +69,6 @@ struct Options {
   bool quiet = false;
   std::string out = "-";
 };
-
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("empty list value");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  // strtoull silently wraps "-1" to 2^64-1; reject signs explicitly.
-  if (end == s.c_str() || *end != '\0' || s.find_first_of("+-") != std::string::npos)
-    throw std::invalid_argument(std::string(what) + ": bad number \"" + s + '"');
-  return v;
-}
-
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("--protocols: unknown protocol \"" + s +
-                              "\" (WI, PU, CU)");
-}
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
 
 void usage() {
   std::printf(
@@ -133,40 +88,34 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (take_value("--protocols", argc, argv, i, v)) {
+    if (harness::take_value("--protocols", argc, argv, i, v)) {
       o.protocols.clear();
-      for (const std::string& s : split(v)) o.protocols.push_back(parse_protocol(s));
-    } else if (take_value("--seeds", argc, argv, i, v)) {
-      o.seed_count = static_cast<unsigned>(parse_u64(v, "--seeds"));
-      if (o.seed_count == 0) throw std::invalid_argument("--seeds must be > 0");
-    } else if (take_value("--seed-list", argc, argv, i, v)) {
+      for (const std::string& s : harness::split_list("--protocols", v))
+        o.protocols.push_back(harness::parse_protocol("--protocols", s));
+    } else if (harness::take_value("--seeds", argc, argv, i, v)) {
+      o.seed_count = harness::parse_uint("--seeds", v, 1);
+    } else if (harness::take_value("--seed-list", argc, argv, i, v)) {
       o.seeds.clear();
-      for (const std::string& s : split(v))
-        o.seeds.push_back(parse_u64(s, "--seed-list"));
-    } else if (take_value("--jitters", argc, argv, i, v)) {
+      for (const std::string& s : harness::split_list("--seed-list", v))
+        o.seeds.push_back(harness::parse_u64("--seed-list", s));
+    } else if (harness::take_value("--jitters", argc, argv, i, v)) {
       o.jitters.clear();
-      for (const std::string& s : split(v))
-        o.jitters.push_back(parse_u64(s, "--jitters"));
-    } else if (take_value("--procs", argc, argv, i, v)) {
-      const std::uint64_t p = parse_u64(v, "--procs");
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--segments", argc, argv, i, v)) {
-      o.segments = static_cast<unsigned>(parse_u64(v, "--segments"));
-      if (o.segments == 0) throw std::invalid_argument("--segments must be > 0");
-    } else if (take_value("--ops", argc, argv, i, v)) {
-      o.ops = static_cast<unsigned>(parse_u64(v, "--ops"));
-      if (o.ops == 0) throw std::invalid_argument("--ops must be > 0");
-    } else if (take_value("--blocks", argc, argv, i, v)) {
-      o.blocks = static_cast<unsigned>(parse_u64(v, "--blocks"));
-      if (o.blocks == 0) throw std::invalid_argument("--blocks must be > 0");
-    } else if (take_value("--watchdog", argc, argv, i, v)) {
-      o.watchdog = parse_u64(v, "--watchdog");
-    } else if (take_value("--max-cycles", argc, argv, i, v)) {
-      o.max_cycles = parse_u64(v, "--max-cycles");
-      if (o.max_cycles == 0) throw std::invalid_argument("--max-cycles must be > 0");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      o.jobs = static_cast<unsigned>(parse_u64(v, "--jobs"));
+      for (const std::string& s : harness::split_list("--jitters", v))
+        o.jitters.push_back(harness::parse_u64("--jitters", s));
+    } else if (harness::take_value("--procs", argc, argv, i, v)) {
+      o.procs = harness::parse_procs("--procs", v);
+    } else if (harness::take_value("--segments", argc, argv, i, v)) {
+      o.segments = harness::parse_uint("--segments", v, 1);
+    } else if (harness::take_value("--ops", argc, argv, i, v)) {
+      o.ops = harness::parse_uint("--ops", v, 1);
+    } else if (harness::take_value("--blocks", argc, argv, i, v)) {
+      o.blocks = harness::parse_uint("--blocks", v, 1);
+    } else if (harness::take_value("--watchdog", argc, argv, i, v)) {
+      o.watchdog = harness::parse_u64("--watchdog", v);
+    } else if (harness::take_value("--max-cycles", argc, argv, i, v)) {
+      o.max_cycles = harness::parse_u64("--max-cycles", v, 1);
+    } else if (harness::take_value("--jobs", argc, argv, i, v)) {
+      o.jobs = harness::parse_uint("--jobs", v);
     } else if (a == "--no-check") {
       o.check = false;
     } else if (a == "--inject-hang") {
@@ -177,9 +126,9 @@ Options parse_args(int argc, char** argv) {
       o.progress = true;
     } else if (a == "--quiet") {
       o.quiet = true;
-    } else if (take_value("--out", argc, argv, i, v)) {
+    } else if (harness::take_value("--out", argc, argv, i, v)) {
       o.out = v;
-    } else if (a == "--help" || a == "-h") {
+    } else if (harness::is_help(a)) {
       usage();
       std::exit(0);
     } else {
@@ -275,20 +224,7 @@ void write_doc(std::ostream& os, const Options& o,
   w.key("cells").value(static_cast<std::uint64_t>(results.size()));
   w.end_object();
 
-  w.key("cells").begin_array();
-  for (const harness::SweepResult& r : results) {
-    w.begin_object();
-    w.key("name").value(r.name);
-    w.key("ok").value(r.ok);
-    if (r.ok) {
-      harness::write_run_fields(w, r.run);
-    } else {
-      w.key("fail_kind").value(harness::to_string(r.fail));
-      w.key("error").value(r.error);
-    }
-    w.end_object();
-  }
-  w.end_array();
+  harness::write_sweep_cells(w, results);
 
   std::size_t ok = 0, deadlocks = 0, invariants = 0, other = 0;
   std::uint64_t total_checks = 0;
@@ -323,23 +259,12 @@ int main(int argc, char** argv) {
   try {
     const Options o = parse_args(argc, argv);
     const std::vector<harness::SweepJob> jobs = build_grid(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
+    const std::vector<harness::SweepResult> results =
+        harness::run_sweep_reported(jobs, o.jobs, o.progress && !o.quiet);
 
     bool any_deadlock = false, any_invariant = false, any_other = false;
     for (const harness::SweepResult& r : results) {
       if (r.ok) continue;
-      std::fprintf(stderr, "failed cell %s [%s]:\n%s\n", r.name.c_str(),
-                   std::string(harness::to_string(r.fail)).c_str(),
-                   r.error.c_str());
       switch (r.fail) {
         case harness::SweepResult::FailKind::Deadlock: any_deadlock = true; break;
         case harness::SweepResult::FailKind::Invariant: any_invariant = true; break;

@@ -8,11 +8,12 @@
 //           [--profile] [--host-metrics] [--max-cycles N] [--out FILE]
 //           [--progress] [--quiet]
 //
-// Every flag accepts `--flag value` and `--flag=value`. The grid is the
-// cross product of the lists; --cu-threshold multiplies only CU cells
-// (the threshold is inert under WI/PU and would duplicate cells), and
-// --seeds multiplies only lock and reduction cells (barriers take no
-// seed). --jobs N runs cells on N worker threads (0 = one per hardware
+// Flags follow the shared syntax of harness/cli.hpp: `--flag value` and
+// `--flag=value` alike, strict numbers, --procs in [1, 32], --help exits
+// 0. The grid is the cross product of the lists; --cu-threshold
+// multiplies only CU cells (the threshold is inert under WI/PU and would
+// duplicate cells), and --seeds multiplies only lock and reduction cells
+// (barriers take no seed). --jobs N runs cells on N worker threads (0 = one per hardware
 // thread); output is byte-identical for every N because cells are
 // independent deterministic simulations emitted in submission order.
 //
@@ -30,16 +31,14 @@
 // live cells-done/rate/ETA line on stderr (only when stderr is a TTY;
 // --quiet suppresses it and the final summary line).
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -49,21 +48,19 @@ using namespace ccsim;
 
 namespace {
 
+using harness::ConstructFamily;
+
 struct Options {
-  std::vector<proto::Protocol> protocols{proto::Protocol::WI,
-                                         proto::Protocol::PU,
-                                         proto::Protocol::CU};
-  std::vector<harness::ConstructFamily> constructs{
-      harness::ConstructFamily::Lock, harness::ConstructFamily::Barrier,
-      harness::ConstructFamily::Reduction};
-  std::vector<harness::LockKind> locks{harness::LockKind::Ticket,
-                                       harness::LockKind::Mcs,
-                                       harness::LockKind::UcMcs};
-  std::vector<harness::BarrierKind> barriers{
-      harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-      harness::BarrierKind::Tree};
-  std::vector<harness::ReductionKind> reductions{
-      harness::ReductionKind::Sequential, harness::ReductionKind::Parallel};
+  std::vector<proto::Protocol> protocols{std::begin(harness::kProtocols),
+                                         std::end(harness::kProtocols)};
+  std::vector<ConstructFamily> constructs{
+      ConstructFamily::Lock, ConstructFamily::Barrier, ConstructFamily::Reduction};
+  /// The kinds swept per family, indexed by ConstructFamily.
+  std::vector<harness::Construct> kinds[3] = {
+      {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs},
+      {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
+       harness::BarrierKind::Tree},
+      {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}};
   std::vector<unsigned> procs{16};
   std::vector<unsigned> cu_thresholds{4};
   std::vector<std::uint64_t> seeds;  ///< empty = the construct defaults
@@ -77,103 +74,12 @@ struct Options {
   std::string out = "-";
 };
 
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("empty list value");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  // strtoull silently wraps "-1" to 2^64-1; reject signs explicitly.
-  if (end == s.c_str() || *end != '\0' || s.find_first_of("+-") != std::string::npos)
-    throw std::invalid_argument(std::string(what) + ": bad number \"" + s + '"');
-  return v;
-}
-
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("--protocols: unknown protocol \"" + s +
-                              "\" (WI, PU, CU)");
-}
-
-harness::ConstructFamily parse_family(const std::string& s) {
-  if (s == "lock") return harness::ConstructFamily::Lock;
-  if (s == "barrier") return harness::ConstructFamily::Barrier;
-  if (s == "reduction") return harness::ConstructFamily::Reduction;
+ConstructFamily parse_family(const std::string& s) {
+  if (s == "lock") return ConstructFamily::Lock;
+  if (s == "barrier") return ConstructFamily::Barrier;
+  if (s == "reduction") return ConstructFamily::Reduction;
   throw std::invalid_argument("--constructs: unknown construct \"" + s +
                               "\" (lock, barrier, reduction)");
-}
-
-harness::LockKind parse_lock(const std::string& s) {
-  if (s == "tk") return harness::LockKind::Ticket;
-  if (s == "MCS" || s == "mcs") return harness::LockKind::Mcs;
-  if (s == "uc") return harness::LockKind::UcMcs;
-  throw std::invalid_argument("--locks: unknown lock \"" + s +
-                              "\" (tk, MCS, uc)");
-}
-
-harness::BarrierKind parse_barrier(const std::string& s) {
-  if (s == "cb") return harness::BarrierKind::Central;
-  if (s == "db") return harness::BarrierKind::Dissemination;
-  if (s == "tb") return harness::BarrierKind::Tree;
-  if (s == "ct") return harness::BarrierKind::CombiningTree;
-  throw std::invalid_argument("--barriers: unknown barrier \"" + s +
-                              "\" (cb, db, tb, ct)");
-}
-
-harness::ReductionKind parse_reduction(const std::string& s) {
-  if (s == "sr") return harness::ReductionKind::Sequential;
-  if (s == "pr") return harness::ReductionKind::Parallel;
-  throw std::invalid_argument("--reductions: unknown reduction \"" + s +
-                              "\" (sr, pr)");
-}
-
-std::string_view lock_tag(harness::LockKind k) {
-  switch (k) {
-    case harness::LockKind::Ticket: return "tk";
-    case harness::LockKind::Mcs: return "MCS";
-    case harness::LockKind::UcMcs: return "uc";
-  }
-  return "?";
-}
-std::string_view barrier_tag(harness::BarrierKind k) {
-  switch (k) {
-    case harness::BarrierKind::Central: return "cb";
-    case harness::BarrierKind::Dissemination: return "db";
-    case harness::BarrierKind::Tree: return "tb";
-    case harness::BarrierKind::CombiningTree: return "ct";
-  }
-  return "?";
-}
-std::string_view reduction_tag(harness::ReductionKind k) {
-  return k == harness::ReductionKind::Parallel ? "pr" : "sr";
-}
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
 }
 
 void usage() {
@@ -183,9 +89,18 @@ void usage() {
       "               [--locks tk,MCS,uc] [--barriers cb,db,tb,ct]\n"
       "               [--reductions sr,pr] [--procs a,b,...]\n"
       "               [--cu-threshold a,b,...] [--seeds a,b,...]\n"
-      "               [--scale=X | --paper] [--jobs N] [--profile]\n"
+      "               [--scale X | --paper] [--jobs N] [--profile]\n"
       "               [--host-metrics] [--max-cycles N] [--out FILE]\n"
       "               [--progress] [--quiet]\n");
+}
+
+std::vector<harness::Construct> parse_kinds(std::string_view flag,
+                                            ConstructFamily family,
+                                            const std::string& v) {
+  std::vector<harness::Construct> out;
+  for (const std::string& s : harness::split_list(flag, v))
+    out.push_back(harness::parse_short_tag(flag, family, s));
+  return out;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -193,48 +108,36 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (take_value("--protocols", argc, argv, i, v)) {
+    if (harness::take_value("--locks", argc, argv, i, v)) {
+      o.kinds[0] = parse_kinds("--locks", ConstructFamily::Lock, v);
+    } else if (harness::take_value("--barriers", argc, argv, i, v)) {
+      o.kinds[1] = parse_kinds("--barriers", ConstructFamily::Barrier, v);
+    } else if (harness::take_value("--reductions", argc, argv, i, v)) {
+      o.kinds[2] = parse_kinds("--reductions", ConstructFamily::Reduction, v);
+    } else if (harness::take_value("--protocols", argc, argv, i, v)) {
       o.protocols.clear();
-      for (const std::string& s : split(v)) o.protocols.push_back(parse_protocol(s));
-    } else if (take_value("--constructs", argc, argv, i, v)) {
+      for (const std::string& s : harness::split_list("--protocols", v))
+        o.protocols.push_back(harness::parse_protocol("--protocols", s));
+    } else if (harness::take_value("--constructs", argc, argv, i, v)) {
       o.constructs.clear();
-      for (const std::string& s : split(v)) o.constructs.push_back(parse_family(s));
-    } else if (take_value("--locks", argc, argv, i, v)) {
-      o.locks.clear();
-      for (const std::string& s : split(v)) o.locks.push_back(parse_lock(s));
-    } else if (take_value("--barriers", argc, argv, i, v)) {
-      o.barriers.clear();
-      for (const std::string& s : split(v)) o.barriers.push_back(parse_barrier(s));
-    } else if (take_value("--reductions", argc, argv, i, v)) {
-      o.reductions.clear();
-      for (const std::string& s : split(v))
-        o.reductions.push_back(parse_reduction(s));
-    } else if (take_value("--procs", argc, argv, i, v)) {
-      o.procs.clear();
-      for (const std::string& s : split(v)) {
-        const std::uint64_t p = parse_u64(s, "--procs");
-        if (p == 0 || p > 32)
-          throw std::invalid_argument("--procs must be in [1, 32]");
-        o.procs.push_back(static_cast<unsigned>(p));
-      }
-    } else if (take_value("--cu-threshold", argc, argv, i, v)) {
+      for (const std::string& s : harness::split_list("--constructs", v))
+        o.constructs.push_back(parse_family(s));
+    } else if (harness::take_value("--procs", argc, argv, i, v)) {
+      o.procs = harness::parse_procs_list("--procs", v);
+    } else if (harness::take_value("--cu-threshold", argc, argv, i, v)) {
       o.cu_thresholds.clear();
-      for (const std::string& s : split(v)) {
-        const std::uint64_t t = parse_u64(s, "--cu-threshold");
-        if (t == 0) throw std::invalid_argument("--cu-threshold must be > 0");
-        o.cu_thresholds.push_back(static_cast<unsigned>(t));
-      }
-    } else if (take_value("--seeds", argc, argv, i, v)) {
+      for (const std::string& s : harness::split_list("--cu-threshold", v))
+        o.cu_thresholds.push_back(harness::parse_uint("--cu-threshold", s, 1));
+    } else if (harness::take_value("--seeds", argc, argv, i, v)) {
       o.seeds.clear();
-      for (const std::string& s : split(v)) o.seeds.push_back(parse_u64(s, "--seeds"));
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
+      for (const std::string& s : harness::split_list("--seeds", v))
+        o.seeds.push_back(harness::parse_u64("--seeds", s));
+    } else if (harness::take_value("--scale", argc, argv, i, v)) {
+      o.scale = harness::parse_scale("--scale", v);
     } else if (a == "--paper") {
       o.scale = 1.0;
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      o.jobs = static_cast<unsigned>(parse_u64(v, "--jobs"));
+    } else if (harness::take_value("--jobs", argc, argv, i, v)) {
+      o.jobs = harness::parse_uint("--jobs", v);
     } else if (a == "--profile") {
       o.profile = true;
     } else if (a == "--host-metrics") {
@@ -243,13 +146,11 @@ Options parse_args(int argc, char** argv) {
       o.progress = true;
     } else if (a == "--quiet") {
       o.quiet = true;
-    } else if (take_value("--max-cycles", argc, argv, i, v)) {
-      o.max_cycles = parse_u64(v, "--max-cycles");
-      if (o.max_cycles == 0)
-        throw std::invalid_argument("--max-cycles must be > 0");
-    } else if (take_value("--out", argc, argv, i, v)) {
+    } else if (harness::take_value("--max-cycles", argc, argv, i, v)) {
+      o.max_cycles = harness::parse_u64("--max-cycles", v, 1);
+    } else if (harness::take_value("--out", argc, argv, i, v)) {
       o.out = v;
-    } else if (a == "--help" || a == "-h") {
+    } else if (harness::is_help(a)) {
       usage();
       std::exit(0);
     } else {
@@ -259,31 +160,12 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
-}
-
-harness::MachineConfig machine(const Options& o, proto::Protocol proto,
-                               unsigned p, unsigned cu_threshold) {
-  harness::MachineConfig cfg;
-  cfg.protocol = proto;
-  cfg.nprocs = p;
-  cfg.cu_threshold = cu_threshold;
-  cfg.obs.profile = o.profile;
-  cfg.obs.host_metrics = o.host_metrics;
-  if (o.max_cycles != 0) cfg.max_cycles = o.max_cycles;
-  return cfg;
-}
-
-std::string cell_name(harness::ConstructFamily fam, std::string_view tag,
-                      proto::Protocol proto, unsigned p,
-                      std::optional<unsigned> threshold,
+std::string cell_name(const harness::Construct& c, proto::Protocol proto,
+                      unsigned p, std::optional<unsigned> threshold,
                       std::optional<std::uint64_t> seed) {
-  std::string s{harness::to_string(fam)};
+  std::string s{harness::to_string(c.family)};
   s += '/';
-  s += tag;
+  s += harness::short_tag(c);
   s += '/';
   s += proto::to_string(proto);
   if (threshold) s += "/t" + std::to_string(*threshold);
@@ -300,6 +182,7 @@ std::vector<harness::SweepJob> build_grid(const Options& o) {
     seeds.push_back(std::nullopt);
   else
     for (std::uint64_t s : o.seeds) seeds.push_back(s);
+  const std::vector<std::optional<std::uint64_t>> no_seed{std::nullopt};
 
   std::vector<harness::SweepJob> jobs;
   for (proto::Protocol proto : o.protocols) {
@@ -313,49 +196,18 @@ std::vector<harness::SweepJob> build_grid(const Options& o) {
 
     for (const auto& threshold : thresholds) {
       for (unsigned p : o.procs) {
-        for (harness::ConstructFamily fam : o.constructs) {
-          switch (fam) {
-            case harness::ConstructFamily::Lock:
-              for (harness::LockKind k : o.locks) {
-                for (const auto& seed : seeds) {
-                  harness::SweepJob j;
-                  j.name = cell_name(fam, lock_tag(k), proto, p, threshold, seed);
-                  j.machine = machine(o, proto, p, threshold.value_or(4));
-                  j.family = fam;
-                  j.lock = k;
-                  j.lock_params.total_acquires = scaled(o.scale, 32000);
-                  if (seed) j.lock_params.seed = *seed;
-                  jobs.push_back(std::move(j));
-                }
-              }
-              break;
-            case harness::ConstructFamily::Barrier:
-              for (harness::BarrierKind k : o.barriers) {
-                harness::SweepJob j;
-                j.name =
-                    cell_name(fam, barrier_tag(k), proto, p, threshold, {});
-                j.machine = machine(o, proto, p, threshold.value_or(4));
-                j.family = fam;
-                j.barrier = k;
-                j.barrier_params.episodes = scaled(o.scale, 5000);
-                jobs.push_back(std::move(j));
-              }
-              break;
-            case harness::ConstructFamily::Reduction:
-              for (harness::ReductionKind k : o.reductions) {
-                for (const auto& seed : seeds) {
-                  harness::SweepJob j;
-                  j.name =
-                      cell_name(fam, reduction_tag(k), proto, p, threshold, seed);
-                  j.machine = machine(o, proto, p, threshold.value_or(4));
-                  j.family = fam;
-                  j.reduction = k;
-                  j.reduction_params.rounds = scaled(o.scale, 5000);
-                  if (seed) j.reduction_params.seed = *seed;
-                  jobs.push_back(std::move(j));
-                }
-              }
-              break;
+        harness::MachineConfig cfg;
+        cfg.protocol = proto;
+        cfg.nprocs = p;
+        cfg.cu_threshold = threshold.value_or(4);
+        cfg.obs.profile = o.profile;
+        cfg.obs.host_metrics = o.host_metrics;
+        if (o.max_cycles != 0) cfg.max_cycles = o.max_cycles;
+        for (ConstructFamily fam : o.constructs) {
+          for (const harness::Construct& c : o.kinds[static_cast<std::size_t>(fam)]) {
+            for (const auto& seed : fam == ConstructFamily::Barrier ? no_seed : seeds)
+              jobs.push_back(harness::sweep_cell(cell_name(c, proto, p, threshold, seed),
+                                                 c, cfg, o.scale, seed));
           }
         }
       }
@@ -394,20 +246,7 @@ void write_doc(std::ostream& os, const Options& o,
   w.key("cells").value(static_cast<std::uint64_t>(jobs.size()));
   w.end_object();
 
-  w.key("cells").begin_array();
-  for (const harness::SweepResult& r : results) {
-    w.begin_object();
-    w.key("name").value(r.name);
-    w.key("ok").value(r.ok);
-    if (r.ok) {
-      harness::write_run_fields(w, r.run);
-    } else {
-      w.key("fail_kind").value(harness::to_string(r.fail));
-      w.key("error").value(r.error);
-    }
-    w.end_object();
-  }
-  w.end_array();
+  harness::write_sweep_cells(w, results);
 
   // Merged summary: counts, failures by name, and the fastest cell per
   // construct family (ties resolve to the earliest submitted cell).
@@ -466,24 +305,10 @@ int main(int argc, char** argv) {
   try {
     const Options o = parse_args(argc, argv);
     const std::vector<harness::SweepJob> jobs = build_grid(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
-
-    std::size_t failed = 0;
-    for (const harness::SweepResult& r : results)
-      if (!r.ok) {
-        ++failed;
-        std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                     r.error.c_str());
-      }
+    const std::vector<harness::SweepResult> results =
+        harness::run_sweep_reported(jobs, o.jobs, o.progress && !o.quiet);
+    const std::size_t failed = static_cast<std::size_t>(std::count_if(
+        results.begin(), results.end(), [](const auto& r) { return !r.ok; }));
 
     if (o.out == "-") {
       write_doc(std::cout, o, jobs, results);
