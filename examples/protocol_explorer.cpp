@@ -14,6 +14,7 @@
 //   $ ./protocol_explorer lock mcs CU 32
 //   $ ./protocol_explorer barrier dissem PU 16 --json mcs.json --trace-out t.json
 #include "ccsim.hpp"
+#include "harness/cli.hpp"
 #include "harness/obs_session.hpp"
 
 #include <iostream>
@@ -34,13 +35,6 @@ int usage() {
   return 1;
 }
 
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("unknown protocol: " + s);
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -50,10 +44,10 @@ int main(int argc, char** argv) {
 
   harness::MachineConfig cfg;
   try {
-    cfg.protocol = parse_protocol(argv[3]);
+    cfg.protocol = harness::parse_protocol("protocol", argv[3]);
     int i = 4;
     if (i < argc && argv[i][0] != '-') {
-      cfg.nprocs = static_cast<unsigned>(std::stoul(argv[i]));
+      cfg.nprocs = harness::parse_procs("nprocs", argv[i]);
       ++i;
     }
     harness::ObsOptions obs_opts;

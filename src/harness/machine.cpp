@@ -41,6 +41,7 @@ Machine::Machine(MachineConfig cfg)
       sharing_(cfg.obs.sharing ? std::make_unique<obs::SharingTracker>(
                                      cfg.nprocs, cfg.cu_threshold)
                                : nullptr),
+      observers_{checker_.get(), sharing_.get()},
       ctx_{q_,
            net_,
            alloc_,
@@ -51,10 +52,7 @@ Machine::Machine(MachineConfig cfg)
            cfg.cu_threshold,
            trace_.get(),
            hot_.get(),
-           ledger_.get(),
-           checker_.get(),
-           host_.get(),
-           sharing_.get(),
+           observers_.any() ? &observers_ : nullptr,
            cfg.consistency,
            cfg.hybrid_default} {
   if (checker_ && cfg_.protocol == proto::Protocol::Hybrid)
@@ -75,7 +73,7 @@ Machine::Machine(MachineConfig cfg)
   for (NodeId i = 0; i < cfg_.nprocs; ++i) {
     nodes_.push_back(std::make_unique<proto::Node>(cfg_.protocol, i, ctx_,
                                                    cfg_.cache_bytes, cfg_.wb_entries,
-                                                   cfg_.timings));
+                                                   cfg_.timings, host_.get()));
     net_.attach(i, *nodes_.back());
     procs_.push_back(std::make_unique<cpu::Processor>(i, q_, nodes_[i]->cache_ctrl()));
     procs_.back()->cpu().set_ledger(ledger_.get());
@@ -110,38 +108,31 @@ Cycle Machine::run(const std::vector<Program>& programs) {
   const bool watch = cfg_.watchdog_stall_cycles > 0;
   std::uint64_t seen_progress = progress_;
   Cycle progress_cycle = q_.now();
-  bool drained;
-  if (sampler || watch || host_) {
-    // Drive the queue manually so interval boundaries are cut at the right
-    // sim times (a self-rescheduling sampler event would keep the queue
-    // non-empty forever and defeat drain-based deadlock detection), so
-    // the watchdog can compare the next event time against the last cycle
-    // at which some processor completed a memory operation, and so the
-    // host collector can observe queue depth between events.
-    while (!q_.empty() && q_.next_time() <= cfg_.max_cycles) {
-      if (watch) {
-        if (progress_ != seen_progress) {
-          seen_progress = progress_;
-          progress_cycle = q_.now();
-        } else if (remaining != 0 &&
-                   q_.next_time() > progress_cycle + cfg_.watchdog_stall_cycles) {
-          throw DeadlockError(diagnose("watchdog: no memory operation completed for " +
-                                           std::to_string(cfg_.watchdog_stall_cycles) +
-                                           " cycles (livelock?)",
-                                       remaining, programs.size()));
-        }
+  // One event at a time: the sampler cuts intervals at exact sim times (a
+  // self-rescheduling sampler event would defeat drain-based deadlock
+  // detection), the watchdog compares each event time against the last
+  // progress, and the host collector sees queue depth between events.
+  while (!q_.empty() && q_.next_time() <= cfg_.max_cycles) {
+    if (watch) {
+      if (progress_ != seen_progress) {
+        seen_progress = progress_;
+        progress_cycle = q_.now();
+      } else if (remaining != 0 &&
+                 q_.next_time() > progress_cycle + cfg_.watchdog_stall_cycles) {
+        throw DeadlockError(diagnose("watchdog: no memory operation completed for " +
+                                         std::to_string(cfg_.watchdog_stall_cycles) +
+                                         " cycles (livelock?)",
+                                     remaining, programs.size()));
       }
-      if (sampler) {
-        obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
-        sampler->advance_to(q_.next_time());
-      }
-      if (host_) host_->before_event(q_.next_time(), q_.pending());
-      q_.step();
     }
-    drained = q_.empty();
-  } else {
-    drained = q_.run_until(cfg_.max_cycles);
+    if (sampler) {
+      obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
+      sampler->advance_to(q_.next_time());
+    }
+    if (host_) host_->before_event(q_.next_time(), q_.pending());
+    q_.step();
   }
+  const bool drained = q_.empty();
   for (auto& p : procs_) p->rethrow_if_failed();
   if (remaining != 0) {
     throw DeadlockError(diagnose(
@@ -149,13 +140,9 @@ Cycle Machine::run(const std::vector<Program>& programs) {
                 : "simulated time exceeded max_cycles",
         remaining, programs.size()));
   }
-  if (checker_) {
+  if (ctx_.observer) {
     obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
-    checker_->final_audit();
-  }
-  if (sharing_) {
-    obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
-    sharing_->finalize();
+    ctx_.observer->finalize();
   }
   updates_.finalize(q_.now());
   if (ledger_) ledger_->finalize(q_.now());
@@ -252,13 +239,12 @@ void Machine::poke(Addr addr, std::uint64_t value, std::size_t size) {
   const NodeId home = alloc_.home_of(b);
   mem::MemoryModule& m = nodes_[home]->home_ctrl().memory_for(b);
   m.write_word(addr, size, value);
-  const Addr base = addr - addr % mem::kWordSize;
-  if (checker_) {
-    // Record the full resulting word so sub-word pokes stay consistent
-    // with the checker's whole-word shadow.
-    checker_->on_poke(base, m.read_word(base, mem::kWordSize));
+  if (ctx_.observer) {
+    // Pass the full resulting word so sub-word pokes stay consistent with
+    // the checker's whole-word shadow.
+    const Addr base = addr - addr % mem::kWordSize;
+    ctx_.observer->on_poke(base, m.read_word(base, mem::kWordSize));
   }
-  if (sharing_) sharing_->on_poke(base);
 }
 
 void Machine::bind_protocol(Addr addr, std::size_t size, proto::Protocol p) {

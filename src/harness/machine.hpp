@@ -11,9 +11,8 @@
 #include "obs/cycle_accounting.hpp"
 #include "obs/host_perf.hpp"
 #include "obs/hot_blocks.hpp"
-#include "obs/invariants.hpp"
+#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
-#include "obs/sharing.hpp"
 #include "obs/trace.hpp"
 #include "proto/hybrid.hpp"
 #include "proto/node.hpp"
@@ -56,11 +55,11 @@ struct ObsConfig {
   /// of every processor to a cost category and collect per-(construct,
   /// phase) latency histograms. See Machine::profile().
   bool profile = false;
-  /// Run the coherence-invariant checker (obs/invariants.hpp): assert the
-  /// single-writable-copy and value-history invariants on the fly and audit
-  /// directories, caches and data against shadow memory at the end of the
-  /// run. Pure observer -- it schedules no events, so simulated cycle
-  /// counts are identical with it on or off. Not supported on
+  /// Run the coherence-invariant checker (obs/invariants.hpp, fed through
+  /// obs/observer.hpp): assert the single-writable-copy and value-history
+  /// invariants on the fly and audit directories, caches and data against
+  /// shadow memory at the end of the run. Pure observer -- it schedules no
+  /// events, so simulated cycle counts are identical with it on or off. Not supported on
   /// Protocol::Hybrid (three engines share each node; the per-node
   /// cache/directory pairing the checker audits does not exist).
   bool check_invariants = false;
@@ -74,9 +73,10 @@ struct ObsConfig {
   /// depth. Cycle-based so the histogram is deterministic across hosts.
   Cycle host_queue_sample = 4096;
   /// Classify per-block sharing patterns and advise a protocol
-  /// (obs/sharing.hpp). Pure observer: simulated cycles, counters and run
-  /// JSON (minus the opt-in "sharing" section) are byte-identical with it
-  /// on or off. Works under every protocol, Hybrid included.
+  /// (obs/sharing.hpp, fed through obs/observer.hpp). Pure observer:
+  /// simulated cycles, counters and run JSON (minus the opt-in "sharing"
+  /// section) are byte-identical with it on or off. Works under every
+  /// protocol, Hybrid included.
   bool sharing = false;
 };
 
@@ -184,10 +184,11 @@ private:
   stats::UpdateClassifier updates_;
   net::Network net_;
   std::unique_ptr<obs::HotBlockTable> hot_;
-  std::unique_ptr<obs::CycleLedger> ledger_;  ///< must precede ctx_
-  std::unique_ptr<obs::InvariantChecker> checker_;  ///< must precede ctx_
-  std::unique_ptr<obs::HostPerfCollector> host_;  ///< must precede ctx_
-  std::unique_ptr<obs::SharingTracker> sharing_;  ///< must precede ctx_
+  std::unique_ptr<obs::CycleLedger> ledger_;
+  std::unique_ptr<obs::InvariantChecker> checker_;  ///< must precede observers_
+  std::unique_ptr<obs::HostPerfCollector> host_;
+  std::unique_ptr<obs::SharingTracker> sharing_;  ///< must precede observers_
+  obs::Observers observers_;  ///< must precede ctx_
   proto::ProtocolContext ctx_;
   obs::IntervalSeries samples_;
   std::vector<std::unique_ptr<proto::Node>> nodes_;

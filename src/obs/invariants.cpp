@@ -256,11 +256,9 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
     };
     if (dirty) {
       // The owner's cache is the authoritative copy; home memory is stale.
-      if (const mem::CacheLine* l = e.owner != kInvalidNode
-                                        ? nodes_[e.owner].cache->find(b)
-                                        : nullptr)
-        check(nodes_[e.owner].cache->read(wa, mem::kWordSize),
-              "owner " + std::to_string(e.owner) + " cache");
+      // audit_entry ran first, so the owner is known to hold the line.
+      check(nodes_[e.owner].cache->read(wa, mem::kWordSize),
+            "owner " + std::to_string(e.owner) + " cache");
     } else {
       check(nodes_[home].memory->read_word(wa, mem::kWordSize), "home memory");
       for (const auto& [n, st] : holders(b)) {

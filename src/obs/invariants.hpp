@@ -3,9 +3,10 @@
 //
 // The checker is an opt-in observer (MachineConfig::obs.check_invariants)
 // that the protocol engines notify synchronously at their transition
-// points. It schedules no events and books no bank or port time, so a run
-// with the checker enabled produces exactly the same simulated cycle
-// counts as one without -- it can only throw.
+// points, through the fan-out in obs/observer.hpp. It schedules no events
+// and books no bank or port time, so a run with the checker enabled
+// produces exactly the same simulated cycle counts as one without -- it
+// can only throw.
 //
 // What is checked, and why exactly this set:
 //

@@ -188,9 +188,8 @@ public:
   explicit SharingTracker(unsigned nprocs, unsigned cu_threshold,
                           SharingConfig cfg = {});
 
-  // Hook points (mirroring obs::InvariantChecker; every caller guards with
-  // `if (ctx_.sharing)`). All are O(1) per call and allocate only on the
-  // first touch of a block.
+  // Hook points, reached only through obs::Observers (obs/observer.hpp).
+  // All are O(1) per call and allocate only on the first touch of a block.
 
   /// A read of `a` completed at `reader` (cache hits included).
   void on_read(NodeId reader, Addr a);

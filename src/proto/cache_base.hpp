@@ -3,8 +3,7 @@
 // scheduling, fence bookkeeping, and the common load path.
 #pragma once
 
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
+#include "obs/observer.hpp"
 #include "proto/protocol.hpp"
 
 #include <cassert>
@@ -57,16 +56,18 @@ protected:
   void complete_load_later(Addr a, std::size_t size, LoadCallback done) {
     ctx_.q.schedule(kHitCycles, [this, a, size, done = std::move(done)]() mutable {
       if (cache_.find(mem::block_of(a))) {
-        if (ctx_.checker)
-          ctx_.checker->on_read(id_, a,
-                                cache_.read(a - a % mem::kWordSize, mem::kWordSize));
-        if (ctx_.sharing) ctx_.sharing->on_read(id_, a);
+        if (ctx_.observer) ctx_.observer->on_read(id_, a, word_at(a));
         done(cache_.read(a, size));
       } else {
         --ctx_.counters.mem.shared_reads;  // recounted by the retry
         cpu_load(a, size, std::move(done));
       }
     });
+  }
+
+  /// The full word containing `a` as this cache holds it (observer hooks).
+  [[nodiscard]] std::uint64_t word_at(Addr a) const {
+    return cache_.read(a - a % mem::kWordSize, mem::kWordSize);
   }
 
   /// The head write-buffer entry retired: pop it, admit a stalled store,

@@ -11,11 +11,13 @@ namespace ccsim::proto {
 
 class Node final : public net::MessageSink {
 public:
+  /// `host` (may be null) receives this node's message-handling host time.
   Node(Protocol p, NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-       std::size_t wb_entries, mem::MemTimings timings)
+       std::size_t wb_entries, mem::MemTimings timings,
+       obs::HostPerfCollector* host)
       : cache_ctrl_(make_cache_controller(p, id, ctx, cache_bytes, wb_entries)),
         home_ctrl_(make_home_controller(p, id, ctx, timings)),
-        host_(ctx.host) {}
+        host_(host) {}
 
   void deliver(const net::Message& msg) override {
     // Host telemetry: everything below is protocol-handler work.

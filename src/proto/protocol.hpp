@@ -21,11 +21,8 @@
 #include <memory>
 
 namespace ccsim::obs {
-class CycleLedger;
-class HostPerfCollector;
 class HotBlockTable;
-class InvariantChecker;
-class SharingTracker;
+struct Observers;
 }
 
 namespace ccsim::proto {
@@ -70,20 +67,10 @@ struct ProtocolContext {
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
   obs::TraceLog* trace = nullptr;  ///< optional structured event trace
   obs::HotBlockTable* hot = nullptr;  ///< optional per-block attribution
-  obs::CycleLedger* ledger = nullptr;  ///< optional cycle-accounting profiler
-  /// Optional runtime coherence-invariant checker (obs/invariants.hpp).
-  /// Engines notify it synchronously at transition points; it never
-  /// schedules events, so timing is unchanged whether or not it is set.
-  obs::InvariantChecker* checker = nullptr;
-  /// Optional host-performance telemetry (obs/host_perf.hpp). Pure
-  /// host-side observer: nodes attribute their message-handling host time
-  /// to it; simulated results are identical with or without it.
-  obs::HostPerfCollector* host = nullptr;
-  /// Optional sharing-pattern tracker (obs/sharing.hpp). Pure observer fed
-  /// at the same transition points as the checker plus the invalidation /
-  /// update-delivery sends; schedules no events, so simulated results are
-  /// byte-identical with or without it.
-  obs::SharingTracker* sharing = nullptr;
+  /// Optional pure coherence observers (obs/observer.hpp): the invariant
+  /// checker and/or the sharing tracker behind one fan-out. Null unless at
+  /// least one is on; each transition point makes one call through it.
+  obs::Observers* observer = nullptr;
   Consistency consistency = Consistency::Release;
   /// Hybrid machines: protocol for blocks whose domain id is 0.
   Protocol hybrid_default = Protocol::WI;

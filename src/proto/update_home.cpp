@@ -1,8 +1,7 @@
 #include "proto/update_controllers.hpp"
 
 #include "obs/hot_blocks.hpp"
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
+#include "obs/observer.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -223,12 +222,11 @@ void UpdateHomeController::serve_update(const Message& msg) {
       memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
       memory_.write_word(msg.addr, msg.payload2, msg.payload);
       ctx_.misses.on_store(msg.src, msg.addr);
-      if (ctx_.checker)
-        ctx_.checker->on_global_write(
+      if (ctx_.observer)
+        ctx_.observer->on_global_write(
             msg.src, msg.addr,
             memory_.read_word(msg.addr - msg.addr % mem::kWordSize,
                               mem::kWordSize));
-      if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
       Message g;
       g.type = MsgType::UpdateGrant;
       g.dst = msg.src;
@@ -246,11 +244,10 @@ void UpdateHomeController::serve_update(const Message& msg) {
   memory_.write_word(msg.addr, msg.payload2, msg.payload);
   ctx_.misses.on_store(msg.src, msg.addr);
   // The home orders update-protocol writes: this is the global-order point.
-  if (ctx_.checker)
-    ctx_.checker->on_global_write(
+  if (ctx_.observer)
+    ctx_.observer->on_global_write(
         msg.src, msg.addr,
         memory_.read_word(msg.addr - msg.addr % mem::kWordSize, mem::kWordSize));
-  if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
 
   if (enable_private_ && e.state == DirState::Update && e.only_sharer_is(msg.src)) {
     // Only the writer caches this block: tell it to retain future updates
@@ -310,13 +307,11 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
         wrote = false;
       break;
   }
-  if (ctx_.checker) ctx_.checker->on_read(msg.src, msg.addr, old);
-  if (ctx_.sharing) ctx_.sharing->on_read(msg.src, msg.addr);
+  if (ctx_.observer) ctx_.observer->on_read(msg.src, msg.addr, old);
   if (wrote) {
     memory_.write_word(msg.addr, mem::kWordSize, next);
     ctx_.misses.on_store(msg.src, msg.addr);
-    if (ctx_.checker) ctx_.checker->on_global_write(msg.src, msg.addr, next);
-    if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
+    if (ctx_.observer) ctx_.observer->on_global_write(msg.src, msg.addr, next);
   }
 
   // Atomically-accessed data follows the same coherence protocol as all

@@ -1,7 +1,7 @@
 #include "proto/wi_controllers.hpp"
 
 #include "obs/hot_blocks.hpp"
-#include "obs/sharing.hpp"
+#include "obs/observer.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -115,7 +115,7 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
       inv.addr = req.addr;  // carries the triggering word for classification
       inv.requester = req.src;
       send_from(inv);
-      if (ctx_.sharing) ctx_.sharing->on_inval_sent(s, req.addr, req.src);
+      if (ctx_.observer) ctx_.observer->on_inval_sent(s, req.addr, req.src);
       ++acks;
     }
   }
@@ -162,7 +162,7 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
           inv.addr = req.addr;
           inv.requester = req.src;
           send_from(inv);
-          if (ctx_.sharing) ctx_.sharing->on_inval_sent(s, req.addr, req.src);
+          if (ctx_.observer) ctx_.observer->on_inval_sent(s, req.addr, req.src);
           ++acks;
         }
         const Cycle ready =

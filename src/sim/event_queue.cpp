@@ -26,12 +26,4 @@ void EventQueue::run() {
   }
 }
 
-bool EventQueue::run_until(Cycle limit) {
-  while (!heap_.empty()) {
-    if (heap_.top().t > limit) return false;
-    step();
-  }
-  return true;
-}
-
 } // namespace ccsim::sim

@@ -36,10 +36,6 @@ public:
   /// Run until no events remain.
   void run();
 
-  /// Run until the clock would pass `limit` or no events remain.
-  /// Returns true if the queue drained, false if the limit stopped us.
-  bool run_until(Cycle limit);
-
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 

@@ -56,18 +56,6 @@ TEST(EventQueue, EventsMayScheduleMoreEvents) {
   EXPECT_EQ(q.now(), 100u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(10, [&] { ++ran; });
-  q.schedule_at(20, [&] { ++ran; });
-  EXPECT_FALSE(q.run_until(15));
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_TRUE(q.run_until(100));
-  EXPECT_EQ(ran, 2);
-}
-
 TEST(EventQueue, ExecutedCounts) {
   EventQueue q;
   for (int i = 0; i < 7; ++i) q.schedule_at(i, [] {});

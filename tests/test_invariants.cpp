@@ -65,6 +65,30 @@ TEST(InvariantChecker, InjectedSecondWritableCopyFailsTheAudit) {
   }
 }
 
+TEST(InvariantChecker, InjectedLostOwnerCopyFailsTheAudit) {
+  // The data audit trusts the owner's cache for Exclusive blocks; this is
+  // safe only because the directory audit runs first and rejects an owner
+  // that no longer holds its Modified line.
+  Machine m(checked(proto::Protocol::WI));
+  const Addr a = m.alloc().allocate_on(0, 8, "victim");
+  const mem::BlockAddr b = mem::block_of(a);
+  try {
+    m.run({[&](cpu::Cpu& c) -> sim::Task {
+      co_await c.store(a, 7);
+      co_await c.fence();  // block is now Modified in cache 0
+      // Inject the violation: the owner silently loses its dirty copy.
+      if (mem::CacheLine* l = m.node(0).cache_ctrl().cache().find(b))
+        l->state = mem::LineState::Invalid;
+    }});
+    FAIL() << "expected an InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("victim"), std::string::npos) << "symbolic name missing";
+    EXPECT_NE(msg.find("not held Modified by exactly its owner"), std::string::npos)
+        << msg;
+  }
+}
+
 TEST(InvariantChecker, InjectedSecondWritableCopyIsCaughtOnTheFly) {
   // Forge the extra writable copy while the run is still going: the next
   // upgrade's on_writable notification must trip the continuous SWMR check

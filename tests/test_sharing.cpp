@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 namespace {
@@ -219,11 +220,13 @@ TEST(SharingReport, AggregatesBlocksIntoAllocs) {
 // --- Machine-level: real runs with the tracker attached. ---------------
 
 harness::RunResult tiny_lock_run(bool sharing,
-                                 proto::Protocol p = proto::Protocol::WI) {
+                                 proto::Protocol p = proto::Protocol::WI,
+                                 bool check_invariants = false) {
   harness::MachineConfig cfg;
   cfg.nprocs = 4;
   cfg.protocol = p;
   cfg.obs.sharing = sharing;
+  cfg.obs.check_invariants = check_invariants;
   harness::LockParams lp;
   lp.total_acquires = 64;
   return harness::run_lock_experiment(cfg, harness::LockKind::Ticket, lp);
@@ -259,6 +262,69 @@ TEST(SharingMachine, TrackerNeverPerturbsSimulatedResults) {
     EXPECT_DOUBLE_EQ(off.avg_latency, on.avg_latency) << proto::to_string(p);
     EXPECT_EQ(stats::to_json(off.counters), stats::to_json(on.counters))
         << proto::to_string(p);
+  }
+}
+
+std::string sharing_json(const obs::SharingReport& r) {
+  std::ostringstream os;
+  stats::JsonWriter w(os);
+  w.begin_object();
+  harness::write_sharing_fields(w, r);
+  w.end_object();
+  return os.str();
+}
+
+TEST(SharingMachine, BothObserversSeeWhatEachSeesAlone) {
+  // The checker and the tracker share one fan-out. With both attached,
+  // neither may perturb the run or the other: same simulated results as
+  // with neither, same check count as the checker alone, same report as
+  // the tracker alone. PU/CU cover the applied-update asymmetry.
+  for (proto::Protocol p :
+       {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {
+    const harness::RunResult none = tiny_lock_run(false, p);
+    const harness::RunResult checker = tiny_lock_run(false, p, true);
+    const harness::RunResult tracker = tiny_lock_run(true, p);
+    const harness::RunResult both = tiny_lock_run(true, p, true);
+    EXPECT_EQ(both.cycles, none.cycles) << proto::to_string(p);
+    EXPECT_DOUBLE_EQ(both.avg_latency, none.avg_latency) << proto::to_string(p);
+    EXPECT_EQ(stats::to_json(both.counters), stats::to_json(none.counters))
+        << proto::to_string(p);
+    EXPECT_GT(checker.invariant_checks, 0u) << proto::to_string(p);
+    EXPECT_EQ(both.invariant_checks, checker.invariant_checks)
+        << proto::to_string(p);
+    ASSERT_TRUE(both.sharing.enabled());
+    EXPECT_EQ(sharing_json(both.sharing), sharing_json(tracker.sharing))
+        << proto::to_string(p);
+  }
+}
+
+TEST(SharingMachine, AppliedUpdatesNeverMakeTheReceiverAWriter) {
+  // Under PU/CU each consumer applies the producer's updates to its own
+  // copy; the tracker must still see one writer and three readers.
+  for (proto::Protocol p : {proto::Protocol::PU, proto::Protocol::CU}) {
+    harness::MachineConfig cfg;
+    cfg.nprocs = 4;
+    cfg.protocol = p;
+    cfg.obs.sharing = true;
+    harness::Machine m(cfg);
+    const Addr flag = m.alloc().allocate_on(0, 8, "flag");
+    m.run_all([&](cpu::Cpu& c) -> sim::Task {
+      for (std::uint64_t round = 1; round <= 4; ++round) {
+        if (c.id() == 0) {
+          co_await c.store(flag, round);
+          co_await c.fence();
+        } else {
+          co_await c.spin_until(flag, [round](std::uint64_t v) { return v >= round; });
+        }
+      }
+    });
+    const obs::SharingReport r = m.sharing_report();
+    const auto row = std::find_if(r.blocks.begin(), r.blocks.end(),
+                                  [&](const auto& b) { return b.base == flag; });
+    ASSERT_NE(row, r.blocks.end()) << proto::to_string(p);
+    EXPECT_GT(row->updates_delivered, 0u) << proto::to_string(p);
+    EXPECT_EQ(row->writer_count, 1u) << proto::to_string(p);
+    EXPECT_EQ(row->reader_count, 3u) << proto::to_string(p);
   }
 }
 
