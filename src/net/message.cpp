@@ -35,6 +35,18 @@ std::string_view to_string(MsgType t) noexcept {
   return "?";
 }
 
+std::optional<std::uint64_t> apply_atomic(AtomicOp op, std::uint64_t old,
+                                          std::uint64_t v1, std::uint64_t v2) noexcept {
+  switch (op) {
+    case AtomicOp::FetchAdd: return old + v1;
+    case AtomicOp::FetchStore: return v1;
+    case AtomicOp::CompareSwap:
+      if (old == v1) return v2;
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 std::size_t Message::wire_bytes() const noexcept {
   if (has_block) return kHeaderBytes + mem::kBlockSize;
   switch (type) {

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace ccsim::net {
@@ -55,8 +56,20 @@ enum class AtomicOp : std::uint8_t {
   CompareSwap, ///< payload = expected, payload2 = new; returns old value
 };
 
-/// One coherence message. Fixed-size (block payload inline) so the network
-/// layer never allocates.
+/// The read-modify-write of `op` on `old` with operands `v1` (addend, new
+/// value or expected value) and `v2` (CompareSwap's new value): the word's
+/// new value, or nullopt when the operation leaves it unwritten (a failed
+/// CompareSwap). Both places that execute atomics -- the WI cache and the
+/// update protocols' home -- share these semantics.
+[[nodiscard]] std::optional<std::uint64_t> apply_atomic(AtomicOp op, std::uint64_t old,
+                                                        std::uint64_t v1,
+                                                        std::uint64_t v2) noexcept;
+
+/// One coherence message. Fixed-size, with the block payload inline, so a
+/// message never owns heap memory. The network layer still allocates once
+/// per message: Network::send copies the Message into a std::function
+/// closure on the event queue (see the typed-events / pooled-messages item
+/// on ROADMAP's hot path).
 struct Message {
   MsgType type{};
   NodeId src = kInvalidNode;

@@ -1,12 +1,16 @@
 // Machinery shared by the WI and update-based cache controllers:
 // private (non-coherent) memory, write-buffer acceptance and drain
-// scheduling, fence bookkeeping, and the common load path.
+// scheduling, fence bookkeeping, the load path, block transactions (MSHRs)
+// from open to completion, line install and eviction, and flushes. The
+// protocols add only their state machines: how a store drains, how an
+// atomic executes, and what each incoming message does.
 #pragma once
 
 #include "obs/observer.hpp"
 #include "proto/protocol.hpp"
 
 #include <cassert>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -19,22 +23,37 @@ public:
   void cpu_load(Addr a, std::size_t size, LoadCallback done) override;
   void cpu_store(Addr a, std::size_t size, std::uint64_t v, DoneCallback done) override;
   void cpu_fence(DoneCallback done) override;
+  /// Waits for program-order-earlier stores to the block to be performed
+  /// (a queued store would otherwise re-fetch the block right after the
+  /// flush dropped it), then evicts the line.
+  void cpu_flush(Addr a, DoneCallback done) override;
 
   [[nodiscard]] CacheDebug debug_state() const override {
     return {wb_.size(), mshr_count(), pending_acks_, outstanding_};
   }
 
 protected:
+  struct LoadWaiter {
+    Addr addr;
+    std::size_t size;
+    LoadCallback done;
+  };
+  /// One outstanding block transaction (an MSHR): the request in flight
+  /// and everything waiting for its reply.
+  struct Txn {
+    bool inval_on_fill = false;  ///< an Inval overtook the fill (WI)
+    Addr inval_trigger = 0;
+    std::vector<LoadWaiter> loads;
+    std::vector<std::function<void()>> retries;  ///< drains / atomic resumes
+  };
+
   /// Outstanding block transactions, for watchdog diagnostics.
-  [[nodiscard]] virtual std::size_t mshr_count() const { return 0; }
+  [[nodiscard]] virtual std::size_t mshr_count() const { return txns_.size(); }
 
   // --- hooks the concrete protocols implement ------------------------
 
-  /// Handle a load that missed in the cache (shared address, no forward).
-  virtual void handle_load_miss(Addr a, std::size_t size, LoadCallback done) = 0;
-
-  /// Process the write at the head of the write buffer. Must eventually
-  /// call entry_done().
+  /// Process the (shared) store at the head of the write buffer. Must
+  /// eventually call entry_done().
   virtual void drain_head() = 0;
 
   /// A load or store hit line `l`; protocol-specific reaction (e.g. the
@@ -47,6 +66,37 @@ protected:
     m.src = id_;
     ctx_.net.send(m);
   }
+
+  /// Queue `w` (or `retry`) on block `b`'s outstanding transaction, opening
+  /// one if there is none. Returns true if this call opened it: the caller
+  /// then sends the request the transaction waits for.
+  bool join_txn(mem::BlockAddr b, LoadWaiter w);
+  bool join_txn(mem::BlockAddr b, std::function<void()> retry);
+
+  /// Miss on `a`'s block: classify it and request a shared copy (GetS).
+  void fetch_shared(Addr a);
+
+  /// The reply to block `b`'s transaction arrived: close it, complete its
+  /// waiting loads, resume its retries, and apply an invalidation that
+  /// overtook the fill.
+  void complete_txn(mem::BlockAddr b);
+
+  /// A fill may not evict a line with its own transaction outstanding (an
+  /// Upgrade's grant would arrive for a line we no longer hold): the MSHR
+  /// conflict stalls the fill until the victim's transaction completes.
+  /// Returns true if `fill` was parked; it re-enters on_message then.
+  bool park_fill(const net::Message& fill);
+
+  /// Install block `b` in state `state`, evicting the line's previous block.
+  void install(mem::BlockAddr b, const std::array<std::byte, mem::kBlockSize>& data,
+               mem::LineState state);
+
+  /// Drop `line` from the cache: a Writeback if it is dirty (Modified or
+  /// PrivateDirty), else a ReplHint, so the home's full map stays exact.
+  virtual void evict_line(mem::CacheLine& line);
+
+  /// Invalidate `l` on a coherence action triggered by a write to `trigger`.
+  void invalidate_line(mem::CacheLine& l, Addr trigger);
 
   /// Complete a load one hit-latency from now, reading the line at
   /// completion time. A change (update/invalidation) landing between now
@@ -109,6 +159,7 @@ protected:
 
   std::unordered_map<Addr, std::uint64_t> private_mem_;
   std::unordered_map<mem::BlockAddr, int> wb_pending_;
+  std::unordered_map<mem::BlockAddr, Txn> txns_;
 
   /// Coherence acknowledgements still owed to this node's earlier writes.
   /// May transiently go negative when an ack overtakes the message that

@@ -4,11 +4,14 @@
 #include "proto/update_controllers.hpp"
 #include "proto/hybrid.hpp"
 #include "proto/wi_controllers.hpp"
+#include "sim/check.hpp"
 
 namespace ccsim::proto {
 
-bool is_home_bound(net::MsgType t) noexcept {
-  using net::MsgType;
+using net::Message;
+using net::MsgType;
+
+bool is_home_bound(MsgType t) noexcept {
   switch (t) {
     case MsgType::GetS:
     case MsgType::GetX:
@@ -66,6 +69,28 @@ std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
 }
 
 // ---------------------------------------------------------------------
+// HomeController
+// ---------------------------------------------------------------------
+
+void HomeController::reply_at(Cycle ready, Message m) {
+  ctx_.q.schedule_at(ready, [this, m]() mutable {
+    if (m.has_block) m.block = memory_.read_block(mem::block_of(m.addr));
+    send(m);
+  });
+}
+
+void HomeController::absorb_writeback(const Message& wb) {
+  const mem::BlockAddr b = mem::block_of(wb.addr);
+  memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
+  memory_.write_block(b, wb.block);
+  Message ack;
+  ack.type = MsgType::WritebackAck;
+  ack.dst = wb.src;
+  ack.addr = mem::block_base(b);
+  send(ack);
+}
+
+// ---------------------------------------------------------------------
 // BaseCacheController
 // ---------------------------------------------------------------------
 
@@ -100,7 +125,8 @@ void BaseCacheController::cpu_load(Addr a, std::size_t size, LoadCallback done) 
     complete_load_later(a, size, std::move(done));
     return;
   }
-  handle_load_miss(a, size, std::move(done));
+  // An outstanding fetch of the block satisfies the load; it is not a new miss.
+  if (join_txn(b, LoadWaiter{a, size, std::move(done)})) fetch_shared(a);
 }
 
 void BaseCacheController::cpu_store(Addr a, std::size_t size, std::uint64_t v,
@@ -141,6 +167,110 @@ void BaseCacheController::cpu_fence(DoneCallback done) {
     ctx_.counters.mem.fence_stall_cycles += ctx_.q.now() - entered;
     done();
   });
+}
+
+void BaseCacheController::cpu_flush(Addr a, DoneCallback done) {
+  const mem::BlockAddr b = mem::block_of(a);
+  if (wb_.contains_block(b) || txns_.contains(b)) {
+    ctx_.q.schedule(1, [this, a, done = std::move(done)]() mutable {
+      cpu_flush(a, std::move(done));
+    });
+    return;
+  }
+  if (mem::CacheLine* line = cache_.find(b)) evict_line(*line);
+  ctx_.q.schedule(kHitCycles, std::move(done));
+}
+
+bool BaseCacheController::join_txn(mem::BlockAddr b, LoadWaiter w) {
+  auto [it, opened] = txns_.try_emplace(b);
+  it->second.loads.push_back(std::move(w));
+  return opened;
+}
+
+bool BaseCacheController::join_txn(mem::BlockAddr b, std::function<void()> retry) {
+  auto [it, opened] = txns_.try_emplace(b);
+  it->second.retries.push_back(std::move(retry));
+  return opened;
+}
+
+void BaseCacheController::fetch_shared(Addr a) {
+  ctx_.misses.classify_miss(id_, a);
+  Message m;
+  m.type = MsgType::GetS;
+  m.dst = ctx_.alloc.home_of(mem::block_of(a));
+  m.addr = a;
+  send(m);
+}
+
+void BaseCacheController::complete_txn(mem::BlockAddr b) {
+  auto it = txns_.find(b);
+  CCSIM_CHECK(it != txns_.end(),
+              "node=%u block=%#llx cycle=%llu: transaction completing that was "
+              "never opened",
+              static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
+              static_cast<unsigned long long>(ctx_.q.now()));
+  Txn t = std::move(it->second);
+  txns_.erase(it);
+
+  // Waiting loads complete at +1 reading the line then (see
+  // complete_load_later); if the deferred invalidation below takes the
+  // line first, they retry with a fresh fetch.
+  for (auto& w : t.loads) complete_load_later(w.addr, w.size, std::move(w.done));
+  for (auto& r : t.retries) ctx_.q.schedule(1, std::move(r));
+
+  if (t.inval_on_fill) {
+    if (mem::CacheLine* line = cache_.find(b)) invalidate_line(*line, t.inval_trigger);
+  }
+}
+
+bool BaseCacheController::park_fill(const Message& fill) {
+  const mem::BlockAddr b = mem::block_of(fill.addr);
+  const mem::CacheLine& victim = cache_.set_for(b);
+  if (!victim.valid() || victim.block == b) return false;
+  auto it = txns_.find(victim.block);
+  if (it == txns_.end()) return false;
+  it->second.retries.push_back([this, fill] { on_message(fill); });
+  return true;
+}
+
+void BaseCacheController::install(mem::BlockAddr b,
+                                  const std::array<std::byte, mem::kBlockSize>& data,
+                                  mem::LineState state) {
+  mem::CacheLine& line = cache_.set_for(b);
+  if (line.valid() && line.block != b) evict_line(line);
+  line.block = b;
+  line.state = state;
+  line.data = data;
+  line.cu_counter = 0;
+  ctx_.misses.on_fill(id_, b);
+  cache_.notify(b);
+}
+
+void BaseCacheController::evict_line(mem::CacheLine& line) {
+  const mem::BlockAddr b = line.block;
+  Message m;
+  m.dst = ctx_.alloc.home_of(b);
+  m.addr = mem::block_base(b);
+  if (line.state == mem::LineState::Modified ||
+      line.state == mem::LineState::PrivateDirty) {
+    m.type = MsgType::Writeback;
+    m.has_block = true;
+    m.block = line.data;
+    note_writeback_sent(b);
+  } else {
+    m.type = MsgType::ReplHint;
+  }
+  send(m);
+  ctx_.misses.on_evicted(id_, b);
+  ctx_.updates.on_block_replaced(id_, b);
+  line.state = mem::LineState::Invalid;
+  cache_.notify(b);
+}
+
+void BaseCacheController::invalidate_line(mem::CacheLine& l, Addr trigger) {
+  ctx_.misses.on_invalidated(id_, l.block, trigger);
+  l.state = mem::LineState::Invalid;
+  cache_.notify(l.block);
 }
 
 void BaseCacheController::entry_done() {

@@ -135,7 +135,9 @@ protected:
   mem::WriteBuffer wb_;
 };
 
-/// Home-side controller: directory + memory bank + protocol engine.
+/// Home-side controller: directory + memory bank + protocol engine. Owns
+/// what every protocol's home does alike: sending, timing a reply to its
+/// memory access, and absorbing a writeback.
 class HomeController {
 public:
   HomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings)
@@ -156,6 +158,20 @@ public:
   }
 
 protected:
+  void send(net::Message m) {
+    m.src = id_;
+    ctx_.net.send(m);
+  }
+
+  /// Send `m` at `ready`, when the memory bank has served the request. A
+  /// reply carrying a block reads memory then, not now: a write absorbed
+  /// in between must be reflected in the data (the requester is already
+  /// in the sharer set, so later updates/invals assume it is).
+  void reply_at(Cycle ready, net::Message m);
+
+  /// Write the block a Writeback carries to memory and acknowledge it.
+  void absorb_writeback(const net::Message& wb);
+
   NodeId id_;
   ProtocolContext& ctx_;
   mem::MemoryModule memory_;

@@ -12,65 +12,13 @@ using net::Message;
 using net::MsgType;
 
 // ---------------------------------------------------------------------
-// loads
+// evictions
 // ---------------------------------------------------------------------
 
-void UpdateCacheController::handle_load_miss(Addr a, std::size_t size, LoadCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  if (auto it = txns_.find(b); it != txns_.end()) {
-    it->second.loads.push_back({a, size, std::move(done)});
-    return;
-  }
-  ctx_.misses.classify_miss(id_, a);
-  txns_[b].loads.push_back({a, size, std::move(done)});
-
-  Message m;
-  m.type = MsgType::GetS;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = a;
-  send(m);
-}
-
-void UpdateCacheController::fill(mem::BlockAddr b,
-                                 const std::array<std::byte, mem::kBlockSize>& data) {
-  mem::CacheLine& line = cache_.set_for(b);
-  if (line.valid() && line.block != b) evict_line(line, /*flushing=*/false);
-  line.block = b;
-  line.state = mem::LineState::ValidU;
-  line.data = data;
-  line.cu_counter = 0;
-  ctx_.misses.on_fill(id_, b);
-  cache_.notify(b);
-
-  auto it = txns_.find(b);
-  if (it == txns_.end()) return;
-  Txn t = std::move(it->second);
-  txns_.erase(it);
-  for (auto& w : t.loads) complete_load_later(w.addr, w.size, std::move(w.done));
-  for (auto& r : t.retries) ctx_.q.schedule(1, std::move(r));
-}
-
-void UpdateCacheController::evict_line(mem::CacheLine& line, bool flushing) {
+void UpdateCacheController::evict_line(mem::CacheLine& line) {
   const mem::BlockAddr b = line.block;
-  Message m;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = mem::block_base(b);
-  if (line.state == mem::LineState::PrivateDirty) {
-    m.type = MsgType::Writeback;
-    m.flag = false;  // evicting: drop me from the sharing set
-    m.has_block = true;
-    m.block = line.data;
-    note_writeback_sent(b);
-  } else {
-    m.type = MsgType::ReplHint;
-  }
-  send(m);
-  ctx_.misses.on_evicted(id_, b);
-  ctx_.updates.on_block_replaced(id_, b);
-  line.state = mem::LineState::Invalid;
-  cache_.notify(b);
+  BaseCacheController::evict_line(line);
   if (atomic_.active && mem::block_of(atomic_.addr) == b) atomic_.fill_ok = false;
-  (void)flushing;
 }
 
 // ---------------------------------------------------------------------
@@ -79,11 +27,6 @@ void UpdateCacheController::evict_line(mem::CacheLine& line, bool flushing) {
 
 void UpdateCacheController::drain_head() {
   const mem::WriteBufferEntry e = wb_.front();
-  if (!mem::is_shared(e.addr)) {
-    private_mem_[e.addr] = e.value;
-    entry_done();
-    return;
-  }
   const mem::BlockAddr b = mem::block_of(e.addr);
   mem::CacheLine* line = cache_.find(b);
 
@@ -102,18 +45,7 @@ void UpdateCacheController::drain_head() {
     // Write-allocate: fetch the block first, then write through. The
     // writer stays a sharer afterwards, receiving updates for every later
     // modification of the block until it drops or flushes the copy.
-    const mem::BlockAddr wb = mem::block_of(e.addr);
-    if (auto it = txns_.find(wb); it != txns_.end()) {
-      it->second.retries.push_back([this] { drain_head(); });
-      return;
-    }
-    ctx_.misses.classify_miss(id_, e.addr);
-    txns_[wb].retries.push_back([this] { drain_head(); });
-    Message g;
-    g.type = MsgType::GetS;
-    g.dst = ctx_.alloc.home_of(wb);
-    g.addr = e.addr;
-    send(g);
+    if (join_txn(b, [this] { drain_head(); })) fetch_shared(e.addr);
     return;
   }
   // Keep our own copy fresh; the global store is performed at the home.
@@ -177,25 +109,6 @@ void UpdateCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v
 }
 
 // ---------------------------------------------------------------------
-// flush
-// ---------------------------------------------------------------------
-
-void UpdateCacheController::cpu_flush(Addr a, DoneCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  // The flush takes effect after program-order-earlier stores to the block
-  // have been performed (a queued store would otherwise re-fetch the block
-  // via write-allocate right after we dropped it).
-  if (wb_.contains_block(b) || txns_.contains(b)) {
-    ctx_.q.schedule(1, [this, a, done = std::move(done)]() mutable {
-      cpu_flush(a, std::move(done));
-    });
-    return;
-  }
-  if (mem::CacheLine* line = cache_.find(b)) evict_line(*line, /*flushing=*/true);
-  ctx_.q.schedule(kHitCycles, std::move(done));
-}
-
-// ---------------------------------------------------------------------
 // incoming messages
 // ---------------------------------------------------------------------
 
@@ -251,26 +164,13 @@ void UpdateCacheController::apply_update(const Message& msg) {
 
 void UpdateCacheController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-
-  // MSHR conflict: a fill must not evict a line whose own transaction is
-  // outstanding; stall it until that transaction completes (defensive --
-  // under the update protocols a valid line cannot have a transaction,
-  // but the atomic-reply fill path shares this dispatch).
-  if (msg.type == MsgType::DataS || msg.type == MsgType::AtomicReply) {
-    const mem::CacheLine& victim = cache_.set_for(b);
-    if (victim.valid() && victim.block != b) {
-      if (auto it = txns_.find(victim.block); it != txns_.end()) {
-        it->second.retries.push_back([this, msg] { on_message(msg); });
-        return;
-      }
-    }
-  }
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Cache, ctx_.q.now(), id_, msg));
+  // Both fills park on an MSHR conflict (defensive: under the update
+  // protocols a valid line cannot have a transaction outstanding).
   switch (msg.type) {
     case MsgType::DataS:
-      fill(b, msg.block);
+      if (park_fill(msg)) break;
+      install(b, msg.block, mem::LineState::ValidU);
+      complete_txn(b);
       break;
 
     case MsgType::Update:
@@ -317,6 +217,7 @@ void UpdateCacheController::on_message(const Message& msg) {
     }
 
     case MsgType::AtomicReply: {
+      if (park_fill(msg)) break;
       CCSIM_CHECK(atomic_.active,
                   "node=%u block=%#llx cycle=%llu: atomic reply with no "
                   "atomic in flight",
@@ -340,9 +241,11 @@ void UpdateCacheController::on_message(const Message& msg) {
       } else if (pa.fill_ok) {
         // Atomically-accessed data is cached like everything else: the
         // reply carries the block, and the home made us a sharer. The
-        // fetch counts as a miss (cold / drop / eviction by history).
+        // fetch counts as a miss (cold / drop / eviction by history). No
+        // transaction is open: the atomic's fence emptied the write buffer
+        // and the processor issues nothing else until the reply.
         ctx_.misses.classify_miss(id_, pa.addr);
-        fill(ab, msg.block);
+        install(ab, msg.block, mem::LineState::ValidU);
       }
       check_fences();
       ctx_.q.schedule(kHitCycles, [done = std::move(pa.done), old] { done(old); });

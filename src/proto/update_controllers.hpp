@@ -27,7 +27,6 @@
 
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 namespace ccsim::proto {
 
@@ -40,27 +39,17 @@ public:
 
   void cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                   LoadCallback done) override;
-  void cpu_flush(Addr a, DoneCallback done) override;
   void on_message(const net::Message& msg) override;
 
 protected:
-  void handle_load_miss(Addr a, std::size_t size, LoadCallback done) override;
   void drain_head() override;
   void on_cache_hit(mem::CacheLine& l, Addr a) override { (void)a; l.cu_counter = 0; }
+  void evict_line(mem::CacheLine& line) override;
   [[nodiscard]] std::size_t mshr_count() const override {
     return txns_.size() + (atomic_.active ? 1 : 0);
   }
 
 private:
-  struct LoadWaiter {
-    Addr addr;
-    std::size_t size;
-    LoadCallback done;
-  };
-  struct Txn {
-    std::vector<LoadWaiter> loads;
-    std::vector<std::function<void()>> retries;  ///< write-allocate drains
-  };
   struct PendingAtomic {
     net::AtomicOp op{};
     Addr addr = 0;
@@ -74,12 +63,9 @@ private:
     bool fill_ok = true;
   };
 
-  void fill(mem::BlockAddr b, const std::array<std::byte, mem::kBlockSize>& data);
-  void evict_line(mem::CacheLine& line, bool flushing);
   void apply_update(const net::Message& msg);
 
   unsigned drop_threshold_;  ///< 0 disables competitive drops (PU)
-  std::unordered_map<mem::BlockAddr, Txn> txns_;
   PendingAtomic atomic_;
 };
 
@@ -107,10 +93,6 @@ private:
   void replay(mem::BlockAddr b);
   void multicast_update(mem::BlockAddr b, Addr word_addr, std::uint64_t value,
                         std::size_t size, NodeId writer, unsigned& count);
-  void send_from(net::Message m) {
-    m.src = id_;
-    ctx_.net.send(m);
-  }
 
   bool enable_private_;
   std::unordered_map<mem::BlockAddr, Pending> pending_;

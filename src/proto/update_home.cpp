@@ -16,9 +16,6 @@ using mem::DirState;
 
 void UpdateHomeController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Home, ctx_.q.now(), id_, msg));
   switch (msg.type) {
     case MsgType::GetS:
     case MsgType::UpdateReq:
@@ -50,8 +47,7 @@ void UpdateHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::Writeback: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
+      absorb_writeback(msg);
       DirEntry& e = dir_.entry(b);
       if (msg.flag) {
         // Demotion: the writer keeps a ValidU copy.
@@ -63,13 +59,6 @@ void UpdateHomeController::on_message(const Message& msg) {
         e.remove_sharer(msg.src);
         e.owner = kInvalidNode;
         e.state = e.sharers == 0 ? DirState::Unowned : DirState::Update;
-      }
-      {
-        Message ack;
-        ack.type = MsgType::WritebackAck;
-        ack.dst = msg.src;
-        ack.addr = mem::block_base(b);
-        send_from(ack);
       }
       if (auto it = pending_.find(b); it != pending_.end() && it->second.waiting_wb)
         replay(b);
@@ -139,7 +128,7 @@ void UpdateHomeController::start_recall(mem::BlockAddr b, const Message& first) 
   r.type = MsgType::Recall;
   r.dst = e.owner;
   r.addr = mem::block_base(b);
-  send_from(r);
+  send(r);
 }
 
 void UpdateHomeController::replay(mem::BlockAddr b) {
@@ -181,16 +170,9 @@ void UpdateHomeController::serve_gets(const Message& msg) {
   d.dst = msg.src;
   d.addr = msg.addr;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Update;
   e.add_sharer(msg.src);
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
+  reply_at(ready, d);
 }
 
 void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
@@ -207,7 +189,7 @@ void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
     u.payload = value;
     u.payload2 = size;
     u.requester = writer;
-    send_from(u);
+    send(u);
     ++count;
   }
 }
@@ -215,28 +197,8 @@ void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
 void UpdateHomeController::serve_update(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
-
-  if (e.state == DirState::Private) {
-    if (e.owner == msg.src) {
-      // Writer raced its own private grant: keep it private.
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
-      memory_.write_word(msg.addr, msg.payload2, msg.payload);
-      ctx_.misses.on_store(msg.src, msg.addr);
-      if (ctx_.observer)
-        ctx_.observer->on_global_write(
-            msg.src, msg.addr,
-            memory_.read_word(msg.addr - msg.addr % mem::kWordSize,
-                              mem::kWordSize));
-      Message g;
-      g.type = MsgType::UpdateGrant;
-      g.dst = msg.src;
-      g.addr = msg.addr;
-      g.payload = 0;
-      g.flag = true;
-      send_from(g);
-    } else {
-      start_recall(b, msg);
-    }
+  if (e.state == DirState::Private && e.owner != msg.src) {
+    start_recall(b, msg);
     return;
   }
 
@@ -249,30 +211,26 @@ void UpdateHomeController::serve_update(const Message& msg) {
         msg.src, msg.addr,
         memory_.read_word(msg.addr - msg.addr % mem::kWordSize, mem::kWordSize));
 
-  if (enable_private_ && e.state == DirState::Update && e.only_sharer_is(msg.src)) {
-    // Only the writer caches this block: tell it to retain future updates
-    // (PU's private-block optimization, paper section 3.1).
-    e.state = DirState::Private;
-    e.owner = msg.src;
-    Message g;
-    g.type = MsgType::UpdateGrant;
-    g.dst = msg.src;
-    g.addr = msg.addr;
-    g.payload = 0;
-    g.flag = true;
-    send_from(g);
-    return;
-  }
-
-  unsigned count = 0;
-  multicast_update(b, msg.addr, msg.payload, msg.payload2, msg.src, count);
   Message g;
   g.type = MsgType::UpdateGrant;
   g.dst = msg.src;
   g.addr = msg.addr;
-  g.payload = count;
-  g.flag = false;
-  send_from(g);
+  if (e.state == DirState::Private) {
+    // The writer raced its own private grant: keep it private.
+    g.flag = true;
+  } else if (enable_private_ && e.state == DirState::Update &&
+             e.only_sharer_is(msg.src)) {
+    // Only the writer caches this block: tell it to retain future updates
+    // (PU's private-block optimization, paper section 3.1).
+    e.state = DirState::Private;
+    e.owner = msg.src;
+    g.flag = true;
+  } else {
+    unsigned count = 0;
+    multicast_update(b, msg.addr, msg.payload, msg.payload2, msg.src, count);
+    g.payload = count;
+  }
+  send(g);
 }
 
 void UpdateHomeController::serve_atomic(const Message& msg) {
@@ -295,23 +253,12 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
 
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordRead);
   const std::uint64_t old = memory_.read_word(msg.addr, mem::kWordSize);
-  std::uint64_t next = old;
-  bool wrote = true;
-  switch (msg.op) {
-    case net::AtomicOp::FetchAdd: next = old + msg.payload; break;
-    case net::AtomicOp::FetchStore: next = msg.payload; break;
-    case net::AtomicOp::CompareSwap:
-      if (old == msg.payload)
-        next = msg.payload2;
-      else
-        wrote = false;
-      break;
-  }
+  const auto next = net::apply_atomic(msg.op, old, msg.payload, msg.payload2);
   if (ctx_.observer) ctx_.observer->on_read(msg.src, msg.addr, old);
-  if (wrote) {
-    memory_.write_word(msg.addr, mem::kWordSize, next);
+  if (next) {
+    memory_.write_word(msg.addr, mem::kWordSize, *next);
     ctx_.misses.on_store(msg.src, msg.addr);
-    if (ctx_.observer) ctx_.observer->on_global_write(msg.src, msg.addr, next);
+    if (ctx_.observer) ctx_.observer->on_global_write(msg.src, msg.addr, *next);
   }
 
   // Atomically-accessed data follows the same coherence protocol as all
@@ -324,7 +271,7 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
   if (e.state == DirState::Unowned) e.state = DirState::Update;
 
   unsigned count = 0;
-  if (wrote) multicast_update(b, msg.addr, next, mem::kWordSize, msg.src, count);
+  if (next) multicast_update(b, msg.addr, *next, mem::kWordSize, msg.src, count);
 
   Message r;
   r.type = MsgType::AtomicReply;
@@ -333,10 +280,7 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
   r.payload = old;
   r.payload2 = count;
   r.has_block = true;
-  ctx_.q.schedule_at(ready, [this, r, b]() mutable {
-    r.block = memory_.read_block(b);  // read at send time (see serve_gets)
-    send_from(r);
-  });
+  reply_at(ready, r);
 }
 
 } // namespace ccsim::proto

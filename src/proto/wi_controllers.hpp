@@ -15,8 +15,8 @@
 #include "proto/cache_base.hpp"
 
 #include <deque>
+#include <functional>
 #include <unordered_map>
-#include <vector>
 
 namespace ccsim::proto {
 
@@ -26,42 +26,19 @@ public:
 
   void cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                   LoadCallback done) override;
-  void cpu_flush(Addr a, DoneCallback done) override;
   void on_message(const net::Message& msg) override;
 
 protected:
-  void handle_load_miss(Addr a, std::size_t size, LoadCallback done) override;
   void drain_head() override;
-  [[nodiscard]] std::size_t mshr_count() const override { return txns_.size(); }
 
 private:
-  struct LoadWaiter {
-    Addr addr;
-    std::size_t size;
-    LoadCallback done;
-  };
-  /// One outstanding block transaction (GetS / GetX / Upgrade).
-  struct Txn {
-    bool want_exclusive = false;
-    bool upgrade = false;         ///< sent Upgrade (line was Shared)
-    bool inval_on_fill = false;   ///< an Inval overtook the fill
-    Addr inval_trigger = 0;
-    std::vector<LoadWaiter> loads;
-    std::vector<std::function<void()>> retries;  ///< drain / atomic resume
-  };
-
-  void fill(mem::BlockAddr b, const std::array<std::byte, mem::kBlockSize>& data,
-            mem::LineState state);
-  void complete_txn(mem::BlockAddr b);
-  void invalidate_line(mem::CacheLine& l, Addr trigger);
-  void evict_for(mem::BlockAddr incoming);
+  void request_exclusive(Addr a, const mem::CacheLine* line, std::function<void()> retry);
+  void grant_exclusive(mem::BlockAddr b, std::uint64_t acks);
   void perform_store(const mem::WriteBufferEntry& e);
   void do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                        LoadCallback done);
   void cpu_atomic_resume(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                          LoadCallback done);
-
-  std::unordered_map<mem::BlockAddr, Txn> txns_;
 };
 
 class WiHomeController final : public HomeController {
@@ -85,10 +62,7 @@ private:
   void restart(mem::BlockAddr b);
   void serve_gets(mem::BlockAddr b, const net::Message& req);
   void serve_getx(mem::BlockAddr b, const net::Message& req);
-  void send_from(net::Message m) {
-    m.src = id_;
-    ctx_.net.send(m);
-  }
+  unsigned invalidate_sharers(mem::DirEntry& e, const net::Message& req);
 
   std::unordered_map<mem::BlockAddr, Active> active_;
   std::unordered_map<mem::BlockAddr, std::deque<net::Message>> queued_;

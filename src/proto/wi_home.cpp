@@ -63,7 +63,7 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
     f.dst = e.owner;
     f.addr = req.addr;
     f.requester = req.src;
-    send_from(f);
+    send(f);
     return;
   }
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
@@ -72,16 +72,9 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
   d.dst = req.src;
   d.addr = req.addr;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Shared;
   e.add_sharer(req.src);
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
+  reply_at(ready, d);
   close(b);
 }
 
@@ -100,25 +93,11 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
     f.dst = e.owner;
     f.addr = req.addr;
     f.requester = req.src;
-    send_from(f);
+    send(f);
     return;
   }
 
-  // Invalidate every other sharer; acks flow directly to the requester.
-  unsigned acks = 0;
-  if (e.state == DirState::Shared) {
-    for (NodeId s = 0; s < ctx_.nprocs; ++s) {
-      if (s == req.src || !e.has_sharer(s)) continue;
-      Message inv;
-      inv.type = MsgType::Inval;
-      inv.dst = s;
-      inv.addr = req.addr;  // carries the triggering word for classification
-      inv.requester = req.src;
-      send_from(inv);
-      if (ctx_.observer) ctx_.observer->on_inval_sent(s, req.addr, req.src);
-      ++acks;
-    }
-  }
+  const unsigned acks = e.state == DirState::Shared ? invalidate_sharers(e, req) : 0;
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
   Message d;
   d.type = MsgType::DataX;
@@ -126,19 +105,30 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
   d.addr = req.addr;
   d.payload = acks;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Exclusive;
   e.sharers = 0;
   e.owner = req.src;
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
+  reply_at(ready, d);
   // The transaction closes on the requester's ExclDone: a later request
   // must never be forwarded to an owner that has not received its data.
+}
+
+/// Invalidate every sharer of `e` but the requester of `req`; the acks
+/// flow directly to the requester. Returns how many it should expect.
+unsigned WiHomeController::invalidate_sharers(DirEntry& e, const Message& req) {
+  unsigned acks = 0;
+  for (NodeId s = 0; s < ctx_.nprocs; ++s) {
+    if (s == req.src || !e.has_sharer(s)) continue;
+    Message inv;
+    inv.type = MsgType::Inval;
+    inv.dst = s;
+    inv.addr = req.addr;  // carries the triggering word for classification
+    inv.requester = req.src;
+    send(inv);
+    if (ctx_.observer) ctx_.observer->on_inval_sent(s, req.addr, req.src);
+    ++acks;
+  }
+  return acks;
 }
 
 void WiHomeController::dispatch(mem::BlockAddr b) {
@@ -153,18 +143,7 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
       break;
     case MsgType::Upgrade:
       if (e.state == DirState::Shared && e.has_sharer(req.src)) {
-        unsigned acks = 0;
-        for (NodeId s = 0; s < ctx_.nprocs; ++s) {
-          if (s == req.src || !e.has_sharer(s)) continue;
-          Message inv;
-          inv.type = MsgType::Inval;
-          inv.dst = s;
-          inv.addr = req.addr;
-          inv.requester = req.src;
-          send_from(inv);
-          if (ctx_.observer) ctx_.observer->on_inval_sent(s, req.addr, req.src);
-          ++acks;
-        }
+        const unsigned acks = invalidate_sharers(e, req);
         const Cycle ready =
             memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
         Message g;
@@ -175,7 +154,7 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
         e.state = DirState::Exclusive;
         e.sharers = 0;
         e.owner = req.src;
-        ctx_.q.schedule_at(ready, [this, g] { send_from(g); });
+        reply_at(ready, g);
         // Closed by the requester's ExclDone (see serve_getx).
       } else {
         // The requester's copy was invalidated while the Upgrade was in
@@ -195,9 +174,6 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
 
 void WiHomeController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Home, ctx_.q.now(), id_, msg));
   switch (msg.type) {
     case MsgType::GetS:
     case MsgType::GetX:
@@ -249,21 +225,13 @@ void WiHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::Writeback: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
+      absorb_writeback(msg);
       DirEntry& e = dir_.entry(b);
       if ((e.state == DirState::Exclusive || e.state == DirState::Private) &&
           e.owner == msg.src) {
         e.state = DirState::Unowned;
         e.sharers = 0;
         e.owner = kInvalidNode;
-      }
-      {
-        Message ack;
-        ack.type = MsgType::WritebackAck;
-        ack.dst = msg.src;
-        ack.addr = mem::block_base(b);
-        send_from(ack);
       }
       if (auto it = active_.find(b); it != active_.end()) {
         it->second.wb_processed = true;

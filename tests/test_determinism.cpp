@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <sstream>
+#include <string_view>
+
 namespace {
 
 using namespace ccsim;
@@ -61,6 +66,60 @@ TEST(Determinism, ReductionExperimentsAreBitExact) {
       const auto b = harness::run_reduction_experiment(cfg_of(p, 8), k, params);
       expect_equal(a, b, to_string(k).data());
     }
+  }
+}
+
+/// FNV-1a 64-bit hash of `s`.
+std::uint64_t fnv1a64(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Hash of the JSONL trace of one run: every message send and receipt,
+/// its cycle, endpoints, address and payload, in simulation order.
+std::uint64_t message_stream_digest(Protocol p,
+                                    const std::function<void(const MachineConfig&)>& run) {
+  std::ostringstream os;
+  obs::JsonlSink sink(os);
+  MachineConfig c = cfg_of(p, 4);
+  c.obs.sink = &sink;
+  run(c);
+  return fnv1a64(os.str());
+}
+
+TEST(Determinism, MessageStreamDigestIsPinned) {
+  // BENCH_ppopp97.json pins cycles and counters; this pins which messages
+  // are sent, in what order and at which cycles. A refactor of the
+  // protocol engines or the message path must leave these hashes alone.
+  const Protocol protocols[] = {Protocol::WI, Protocol::PU, Protocol::CU};
+  // Per protocol: ticket lock, central barrier, sequential reduction.
+  const std::uint64_t pinned[3][3] = {
+      {0xf29e855f6f162947ULL, 0x61d585cfe8056efbULL, 0x7d628c7d48219e53ULL},
+      {0x0718e72049dac75eULL, 0x8c4eb36ff073c7c4ULL, 0xa62b4c3630591b7bULL},
+      {0xa7ece1fd6c794a25ULL, 0x8c4eb36ff073c7c4ULL, 0xbd04c41eabab3419ULL},
+  };
+  for (int i = 0; i < 3; ++i) {
+    const Protocol p = protocols[i];
+    EXPECT_EQ(message_stream_digest(p, [](const MachineConfig& c) {
+                harness::run_lock_experiment(c, LockKind::Ticket, {.total_acquires = 24});
+              }),
+              pinned[i][0])
+        << to_string(p) << " ticket";
+    EXPECT_EQ(message_stream_digest(p, [](const MachineConfig& c) {
+                harness::run_barrier_experiment(c, BarrierKind::Central, {.episodes = 8});
+              }),
+              pinned[i][1])
+        << to_string(p) << " central";
+    EXPECT_EQ(message_stream_digest(p, [](const MachineConfig& c) {
+                harness::run_reduction_experiment(c, ReductionKind::Sequential,
+                                                  {.rounds = 8});
+              }),
+              pinned[i][2])
+        << to_string(p) << " sequential";
   }
 }
 

@@ -51,14 +51,32 @@ TEST(EdgeCases, ByteGranularSharedAccess) {
   }
 }
 
+/// Counts message deliveries (network MsgRecv) and controller receipts
+/// (cache + home MsgRecv).
+class RecvCounter : public obs::TraceSink {
+public:
+  void on_event(const obs::TraceEvent& e) override {
+    if (e.kind != obs::EventKind::MsgRecv) return;
+    if (e.cat == obs::TraceCat::Net)
+      ++delivered;
+    else if (e.cat == obs::TraceCat::Cache || e.cat == obs::TraceCat::Home)
+      ++received;
+  }
+  std::uint64_t delivered = 0;
+  std::uint64_t received = 0;
+};
+
 TEST(EdgeCases, TinyCacheConstructsStillCorrect) {
   // A 256-byte cache (4 lines) forces constant evictions of the very
-  // blocks the constructs spin on.
+  // blocks the constructs spin on. Fills then stall behind in-transaction
+  // victims; a stalled fill is still received (and traced) exactly once.
   for (Protocol p : {Protocol::WI, Protocol::PU, Protocol::CU}) {
+    RecvCounter recvs;
     MachineConfig cfg;
     cfg.protocol = p;
     cfg.nprocs = 4;
     cfg.cache_bytes = 256;
+    cfg.obs.sink = &recvs;
     Machine m(cfg);
     sync::TicketLock lock(m);
     sync::DisseminationBarrier barrier(m);
@@ -75,6 +93,8 @@ TEST(EdgeCases, TinyCacheConstructsStillCorrect) {
     EXPECT_EQ(m.peek(ctr), 40u) << proto::to_string(p);
     EXPECT_GT(m.counters().misses[stats::MissClass::Eviction], 0u)
         << "the tiny cache should evict " << proto::to_string(p);
+    EXPECT_GT(recvs.delivered, 0u) << proto::to_string(p);
+    EXPECT_EQ(recvs.received, recvs.delivered) << proto::to_string(p);
   }
 }
 

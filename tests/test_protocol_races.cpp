@@ -136,6 +136,33 @@ TEST(ProtocolRaces, UpdateOvertakesDataSHarmlessly) {
   }
 }
 
+TEST(ProtocolRaces, PuWriterRacesItsOwnPrivateGrant) {
+  // The sole sharer writes through, and the home grants it private mode.
+  // Write-through does not block the buffer, so the next stores reach the
+  // home before the grant reaches the writer: the home must perform them
+  // (and report them to the checker) while keeping the block private.
+  MachineConfig cfg;
+  cfg.protocol = Protocol::PU;
+  cfg.nprocs = 2;
+  cfg.obs.check_invariants = true;
+  Machine m(cfg);
+  const Addr a = m.alloc().allocate_on(1, mem::kBlockSize, "block");
+  m.run({[&](cpu::Cpu& c) -> sim::Task {
+    (void)co_await c.load(a);  // sole sharer
+    for (unsigned w = 0; w < 4; ++w)
+      co_await c.store(a + w * mem::kWordSize, 10 + w);
+    co_await c.fence();
+    for (unsigned w = 0; w < 4; ++w)
+      EXPECT_EQ(co_await c.load(a + w * mem::kWordSize), 10u + w) << "word " << w;
+  }});
+  // Every write-through after the first raced the private grant.
+  EXPECT_GT(m.counters().net.of(MsgType::UpdateReq), 1u);
+  const auto* e = m.node(1).home_ctrl().directory().find(mem::block_of(a));
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->state, mem::DirState::Private);
+  EXPECT_GT(m.invariant_checks(), 0u);
+}
+
 TEST(ProtocolRaces, FillStalledByInTransactionVictim) {
   // Two blocks mapping to the same set: an Upgrade on the resident block
   // is outstanding while a fill for the conflicting block arrives. The
