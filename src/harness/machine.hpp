@@ -97,8 +97,8 @@ struct MachineConfig {
   /// not count as progress, so the bound must exceed the longest think in
   /// the workload plus the worst contended-operation latency.
   Cycle watchdog_stall_cycles = 0;
-  /// Attach a structured trace (ring of recent protocol events, appended
-  /// to deadlock reports; see Machine::trace() to echo it live).
+  /// Attach a structured trace: a ring of the last protocol events,
+  /// formatted into deadlock reports (see Machine::trace()).
   bool trace = false;
   /// Memory consistency model (the paper's machine is release consistent).
   proto::Consistency consistency = proto::Consistency::Release;

@@ -65,7 +65,7 @@ void InvariantChecker::attach_node(mem::DataCache* cache,
 
 void InvariantChecker::record(Addr word_addr, std::uint64_t word) {
   History& h = history_[word_addr];
-  if (h.values.empty()) h.values.resize(cfg_.history_depth, 0);
+  if (h.values.empty()) h.values.resize(kHistoryDepth, 0);
   h.values[h.head] = word;
   h.head = (h.head + 1) % h.values.size();
   if (h.head == 0) h.wrapped = true;
@@ -172,9 +172,9 @@ std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
     s += state_name(st);
   }
   s += '\n';
-  if (auto it = recent_.find(b); it != recent_.end() && !it->second.empty()) {
+  if (auto it = recent_.find(b); it != recent_.end()) {
     s += "  recent events for block:\n";
-    for (const std::string& line : it->second) s += "    " + line + "\n";
+    s += it->second.tail(kTraceTail, "    ");
   }
   return s;
 }
@@ -185,10 +185,7 @@ void InvariantChecker::fail(mem::BlockAddr b, const std::string& what) const {
 }
 
 void InvariantChecker::on_event(const TraceEvent& e) {
-  if (!e.has_msg) return;
-  std::deque<std::string>& ring = recent_[mem::block_of(e.addr)];
-  ring.push_back(format_event(e));
-  while (ring.size() > cfg_.trace_tail) ring.pop_front();
+  recent_[mem::block_of(e.addr)].push(e);
 }
 
 void InvariantChecker::audit_entry(NodeId home, mem::BlockAddr b,

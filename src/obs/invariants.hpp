@@ -48,8 +48,10 @@
 // Violations throw InvariantViolation carrying a structured report: the
 // block (with its allocator-assigned symbolic name), its home, the
 // directory entry, every cache holding the block, the shadow/observed
-// values, and the last-N trace events touching that block (the checker
-// registers as a TraceSink to keep a small per-block event ring).
+// values, and the last kTraceTail trace events touching that block. The
+// checker registers as a TraceSink and copies each event, unformatted, into
+// that block's TraceRing; describe_block() formats them only when a report
+// is built.
 #pragma once
 
 #include "mem/address.hpp"
@@ -61,7 +63,6 @@
 #include "sim/types.hpp"
 
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -77,18 +78,13 @@ public:
 
 class InvariantChecker : public TraceSink {
 public:
-  struct Config {
-    /// Distinct values remembered per word for the read-membership check.
-    /// Deep enough that a legally stale copy's value is always still
-    /// remembered; a word is rarely overwritten 1024 times while one stale
-    /// copy survives.
-    std::size_t history_depth = 1024;
-    /// Per-block ring of recent trace events attached to violation reports.
-    std::size_t trace_tail = 12;
-  };
-
-  InvariantChecker() = default;
-  explicit InvariantChecker(Config cfg) : cfg_(cfg) {}
+  /// Distinct values remembered per word for the read-membership check.
+  /// Deep enough that a legally stale copy's value is always still
+  /// remembered; a word is rarely overwritten 1024 times while one stale
+  /// copy survives.
+  static constexpr std::size_t kHistoryDepth = 1024;
+  /// Trace events kept per block and attached to violation reports.
+  static constexpr std::size_t kTraceTail = 12;
 
   /// Name lookup for reports (optional; not owned).
   void set_alloc(const mem::SharedAllocator* a) noexcept { alloc_ = a; }
@@ -157,12 +153,11 @@ private:
   void audit_entry(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
   void audit_data(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
 
-  Config cfg_{};
   const mem::SharedAllocator* alloc_ = nullptr;
   std::vector<NodeView> nodes_;
   std::unordered_map<Addr, std::uint64_t> shadow_;  ///< word addr -> value
   std::unordered_map<Addr, History> history_;
-  std::unordered_map<mem::BlockAddr, std::deque<std::string>> recent_;
+  std::unordered_map<mem::BlockAddr, TraceRing<kTraceTail>> recent_;
   std::uint64_t checks_ = 0;
 };
 

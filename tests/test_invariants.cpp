@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 namespace {
@@ -62,6 +63,26 @@ TEST(InvariantChecker, InjectedSecondWritableCopyFailsTheAudit) {
     EXPECT_NE(msg.find("1:Modified"), std::string::npos)
         << "forged holder missing from the cache listing:\n"
         << msg;
+    // The report ends with the block's last trace events, formatted only
+    // now: at most 12 lines, every one about an address in the victim.
+    const std::string header = "  recent events for block:\n";
+    const std::size_t at = msg.find(header);
+    ASSERT_NE(at, std::string::npos) << msg;
+    std::istringstream lines(msg.substr(at + header.size()));
+    std::size_t events = 0;
+    for (std::string line; std::getline(lines, line);) {
+      ASSERT_EQ(line.rfind("    t=", 0), 0u) << line;
+      const std::size_t addr = line.find(" addr=0x");
+      ASSERT_NE(addr, std::string::npos) << line;
+      EXPECT_EQ(mem::block_of(std::stoull(line.substr(addr + 8), nullptr, 16)), b)
+          << line;
+      ++events;
+    }
+    EXPECT_GE(events, 1u);
+    EXPECT_LE(events, 12u);
+    std::ostringstream getx;
+    getx << "home0 <- GetX addr=0x" << std::hex << a << " from 0";
+    EXPECT_NE(msg.find(getx.str(), at), std::string::npos) << msg;
   }
 }
 

@@ -1,4 +1,4 @@
-// Structured trace facility: ring buffer behavior, category masking,
+// Structured trace facility: event formatting, ring order and bounds,
 // machine integration, and deadlock reports carrying the trace tail.
 #include "ccsim.hpp"
 
@@ -12,40 +12,74 @@ using harness::Machine;
 using harness::MachineConfig;
 using proto::Protocol;
 
-TEST(TraceLog, RecordsAndFormats) {
+obs::TraceEvent msg_event(obs::EventKind kind, obs::TraceCat cat, Cycle t,
+                          NodeId node, NodeId peer, net::MsgType type, Addr addr,
+                          std::uint64_t payload = 0) {
+  obs::TraceEvent e;
+  e.cycle = t;
+  e.cat = cat;
+  e.kind = kind;
+  e.node = node;
+  e.peer = peer;
+  e.msg = type;
+  e.addr = addr;
+  e.payload = payload;
+  return e;
+}
+
+/// A controller reception at cycle `t`, one per cycle in the ring tests.
+obs::TraceEvent recv_at(Cycle t) {
+  return msg_event(obs::EventKind::MsgRecv, obs::TraceCat::Home, t, 1, 0,
+                   net::MsgType::GetS, 0x40);
+}
+
+TEST(TraceLog, FormatsEachKind) {
+  using obs::EventKind;
+  using obs::TraceCat;
   obs::TraceLog t;
-  t.log(obs::TraceCat::Cache, 42, "cache%u <- %s", 3u, "GetS");
-  ASSERT_EQ(t.recent().size(), 1u);
-  EXPECT_EQ(t.recent()[0], "t=42 [cache] cache3 <- GetS");
-  EXPECT_EQ(t.total_events(), 1u);
+  t.event(msg_event(EventKind::MsgSend, TraceCat::Net, 40, 1, 3,
+                    net::MsgType::GetS, 0x10000000));
+  t.event(msg_event(EventKind::MsgRecv, TraceCat::Net, 41, 3, 1,
+                    net::MsgType::GetS, 0x10000000));
+  t.event(msg_event(EventKind::MsgRecv, TraceCat::Home, 42, 3, 1,
+                    net::MsgType::GetS, 0x10000000));
+  t.event(msg_event(EventKind::MsgRecv, TraceCat::Cache, 43, 1, 3,
+                    net::MsgType::DataX, 0x10000008, 2));
+  EXPECT_EQ(t.tail(4),
+            "t=40 [net] node1 -> GetS addr=0x10000000 to 3\n"
+            "t=41 [net] node3 <- GetS addr=0x10000000 from 1\n"
+            "t=42 [home] home3 <- GetS addr=0x10000000 from 1\n"
+            "t=43 [cache] cache1 <- DataX addr=0x10000008 from 3 pay=2\n");
+  EXPECT_EQ(t.total_events(), 4u);
 }
 
-TEST(TraceLog, RingBounded) {
-  obs::TraceLog t(static_cast<unsigned>(obs::TraceCat::All), 8);
-  for (int i = 0; i < 100; ++i) t.log(obs::TraceCat::Home, i, "ev%d", i);
-  EXPECT_EQ(t.recent().size(), 8u);
-  EXPECT_EQ(t.total_events(), 100u);
-  EXPECT_EQ(t.recent().back(), "t=99 [home] ev99");
-  EXPECT_EQ(t.recent().front(), "t=92 [home] ev92");
-}
-
-TEST(TraceLog, CategoryMasking) {
-  obs::TraceLog t(static_cast<unsigned>(obs::TraceCat::Home));
-  t.log(obs::TraceCat::Cache, 1, "hidden");
-  t.log(obs::TraceCat::Home, 2, "visible");
-  ASSERT_EQ(t.recent().size(), 1u);
-  EXPECT_EQ(t.recent()[0], "t=2 [home] visible");
-  // Masked events are suppressed from the ring but still counted.
-  EXPECT_EQ(t.total_events(), 2u);
-  EXPECT_TRUE(t.on(obs::TraceCat::Home));
-  EXPECT_FALSE(t.on(obs::TraceCat::Cache));
-}
-
-TEST(TraceLog, TailJoinsLastN) {
+TEST(TraceLog, TailKeepsOrderAcrossRingWrap) {
   obs::TraceLog t;
-  for (int i = 0; i < 5; ++i) t.log(obs::TraceCat::Cpu, i, "e%d", i);
-  EXPECT_EQ(t.tail(2), "t=3 [cpu] e3\nt=4 [cpu] e4\n");
+  for (Cycle i = 0; i < 600; ++i) t.event(recv_at(i));
+  EXPECT_EQ(t.total_events(), 600u);
+  EXPECT_EQ(t.tail(2),
+            "t=598 [home] home1 <- GetS addr=0x40 from 0\n"
+            "t=599 [home] home1 <- GetS addr=0x40 from 0\n");
+  // The ring holds the last kRingCapacity events, oldest first.
+  const std::string all = t.tail(obs::TraceLog::kRingCapacity);
+  const Cycle first = 600 - obs::TraceLog::kRingCapacity;
+  std::size_t lines = 0;
+  Cycle expect = first;
+  for (std::size_t at = 0; at < all.size(); at = all.find('\n', at) + 1) {
+    EXPECT_EQ(all.compare(at, 2, "t="), 0);
+    EXPECT_EQ(std::stoull(all.substr(at + 2)), expect++);
+    ++lines;
+  }
+  EXPECT_EQ(lines, obs::TraceLog::kRingCapacity);
+}
+
+TEST(TraceLog, TailClampsToStoredEvents) {
+  obs::TraceLog t;
+  EXPECT_EQ(t.tail(40), "");
+  for (Cycle i = 0; i < 5; ++i) t.event(recv_at(i));
   EXPECT_EQ(t.tail(100), t.tail(5));
+  EXPECT_EQ(t.tail(100).rfind("t=0 ", 0), 0u);
+  EXPECT_EQ(t.tail(1), "t=4 [home] home1 <- GetS addr=0x40 from 0\n");
 }
 
 TEST(TraceMachine, DisabledByDefault) {
