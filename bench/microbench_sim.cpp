@@ -35,6 +35,50 @@ void BM_EventQueueFanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFanOut)->Arg(1024)->Arg(16384);
 
+sim::Task delay_loop(sim::EventQueue& q, int n) {
+  for (int i = 0; i < n; ++i) co_await sim::delay(q, 1);
+}
+
+void BM_CoroutineResume(benchmark::State& state) {
+  // One coroutine suspending and resuming through the queue, 1000 times.
+  for (auto _ : state) {
+    sim::EventQueue q;
+    sim::Task t = delay_loop(q, 1000);
+    t.start();
+    q.run();
+    benchmark::DoNotOptimize(t.done());
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_CoroutineResume);
+
+void bump(void* counter, std::uint64_t by) { *static_cast<std::uint64_t*>(counter) += by; }
+
+void BM_EventQueueMixedFanOut(benchmark::State& state) {
+  // Every event kind at the same few cycles, interleaved: a callable in
+  // the record, a slab-stored std::function, a pooled producer's thunk and
+  // a coroutine resume.
+  const int n = static_cast<int>(state.range(0));
+  std::uint64_t sum = 0;
+  const std::function<void()> slab_fn = [&sum] { ++sum; };
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (int i = 0; i < n; ++i) {
+      const Cycle t = static_cast<Cycle>(i % 64);
+      switch (i % 4) {
+        case 0: q.schedule_at(t, [&sum] { ++sum; }); break;
+        case 1: q.schedule_at(t, slab_fn); break;
+        case 2: q.schedule_thunk(t, &bump, &sum, 1); break;
+        default: q.resume_after(t, std::noop_coroutine()); break;
+      }
+    }
+    q.run();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EventQueueMixedFanOut)->Arg(1024)->Arg(16384);
+
 void BM_NetworkSend(benchmark::State& state) {
   struct Sink final : net::MessageSink {
     void deliver(const net::Message&) override {}

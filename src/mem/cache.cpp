@@ -47,12 +47,25 @@ void DataCache::write(Addr addr, std::size_t size, std::uint64_t value) {
 }
 
 void DataCache::notify(BlockAddr b) {
-  auto it = watchers_.find(b);
-  if (it == watchers_.end()) return;
-  // Move out first: a watcher may re-subscribe synchronously.
-  std::vector<std::function<void()>> fns = std::move(it->second);
-  watchers_.erase(it);
-  for (auto& fn : fns) fn();
+  if (watchers_.empty()) return;
+  // Move the fired watchers out first: one may re-subscribe synchronously,
+  // and that subscription waits for the next change. A nested notify()
+  // finds firing_ moved-from and builds its own list.
+  std::vector<Watcher> fire = std::move(firing_);
+  fire.clear();
+  auto keep = watchers_.begin();
+  for (auto& w : watchers_) {
+    if (w.block == b) {
+      fire.push_back(std::move(w));
+    } else {
+      if (&*keep != &w) *keep = std::move(w);
+      ++keep;
+    }
+  }
+  watchers_.erase(keep, watchers_.end());
+  for (auto& w : fire) w.fn();
+  fire.clear();
+  firing_ = std::move(fire);
 }
 
 } // namespace ccsim::mem

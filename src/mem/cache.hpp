@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace ccsim::mem {
@@ -80,20 +79,26 @@ public:
   //
   // Cpu::spin_until subscribes to a block; protocol code calls notify()
   // after any state or data mutation (fill, update, invalidation, drop,
-  // eviction). Watchers are one-shot: notify() clears the list.
+  // eviction). Watchers are one-shot and fire in subscription order. The
+  // list is flat and reuses its capacity: a node has one processor, so it
+  // rarely holds more than one watcher, and re-arming a spin allocates
+  // nothing.
 
   void watch(BlockAddr b, std::function<void()> fn) {
-    watchers_[b].push_back(std::move(fn));
+    watchers_.push_back({b, std::move(fn)});
   }
   void notify(BlockAddr b);
 
-  [[nodiscard]] bool has_watchers(BlockAddr b) const {
-    return watchers_.contains(b);
-  }
-
 private:
+  struct Watcher {
+    BlockAddr block;
+    std::function<void()> fn;
+  };
+
   std::vector<CacheLine> lines_;
-  std::unordered_map<BlockAddr, std::vector<std::function<void()>>> watchers_;
+  std::vector<Watcher> watchers_;
+  /// notify()'s scratch list of the watchers it fires, kept for its capacity.
+  std::vector<Watcher> firing_;
 };
 
 } // namespace ccsim::mem

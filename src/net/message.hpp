@@ -66,10 +66,9 @@ enum class AtomicOp : std::uint8_t {
                                                         std::uint64_t v2) noexcept;
 
 /// One coherence message. Fixed-size, with the block payload inline, so a
-/// message never owns heap memory. The network layer still allocates once
-/// per message: Network::send copies the Message into a std::function
-/// closure on the event queue (see the typed-events / pooled-messages item
-/// on ROADMAP's hot path).
+/// message never owns heap memory. Network::send copies it into a pooled
+/// in-flight slot that its delivery event names, so sending allocates
+/// nothing once the pool has warmed up.
 struct Message {
   MsgType type{};
   NodeId src = kInvalidNode;

@@ -61,6 +61,9 @@ void Network::send(const Message& msg) {
 
   if (counters_) ++counters_->by_type[static_cast<std::size_t>(msg.type)];
   ++inflight_[msg.dst];
+  // The message leaves at `start` and its `flits` are ejected from
+  // `eject_start` to `delivered`; a local message has no flits.
+  Cycle start = 0, eject_start = 0, delivered = 0, flits = 0;
   if (msg.src == msg.dst) {
     if (counters_) ++counters_->local;
     Cycle arrive = q_.now() + params_.local_latency;
@@ -70,85 +73,91 @@ void Network::send(const Message& msg) {
       arrive = std::max(arrive + jitter(), local_last_[msg.dst]);
       local_last_[msg.dst] = arrive;
     }
-    if (trace_) {
-      const std::uint64_t flow = trace_->next_flow_id();
-      trace_->event(net_event(obs::EventKind::MsgSend, q_.now(), 0, msg.src,
-                              msg.dst, msg, flow));
-      obs::TraceLog* trace = trace_;
-      q_.schedule_at(arrive, [this, sink, msg, trace, arrive, flow] {
-        --inflight_[msg.dst];
-        trace->event(net_event(obs::EventKind::MsgRecv, arrive, 0, msg.dst,
-                               msg.src, msg, flow));
-        sink->deliver(msg);
-      });
+    start = q_.now();
+    eject_start = delivered = arrive;
+    flits = 0;
+  } else {
+    const std::size_t bytes = msg.wire_bytes();
+    flits = static_cast<Cycle>((bytes + params_.flit_bytes - 1) / params_.flit_bytes);
+    const unsigned hops = topo_.hops(msg.src, msg.dst);
+
+    // Source port: the tail flit leaves `flits` cycles after injection
+    // starts. Jitter delays the injection claim; because the claim still
+    // advances inject_free_ monotonically, per-(src, dst) FIFO order is
+    // unaffected.
+    start = std::max(q_.now() + jitter(), inject_free_[msg.src]);
+    inject_free_[msg.src] = start + flits;
+
+    // Flight: each switch delays the header by switch_delay cycles; with
+    // link contention on, the header also waits for each channel of the
+    // dimension-ordered route, and the flit stream then occupies it.
+    Cycle head_arrival;
+    if (params_.link_contention) {
+      Cycle head = start;
+      NodeId at = msg.src;
+      while (at != msg.dst) {
+        const NodeId next = topo_.next_hop(at, msg.dst);
+        Cycle& busy = link_free_[static_cast<std::size_t>(at) * topo_.count() + next];
+        head = std::max(head + params_.switch_delay, busy);
+        busy = head + flits;
+        at = next;
+      }
+      head_arrival = head;
     } else {
-      q_.schedule_at(arrive, [this, sink, msg] {
-        --inflight_[msg.dst];
-        sink->deliver(msg);
-      });
+      head_arrival = start + params_.switch_delay * hops;
     }
-    return;
-  }
 
-  const std::size_t bytes = msg.wire_bytes();
-  const Cycle flits =
-      static_cast<Cycle>((bytes + params_.flit_bytes - 1) / params_.flit_bytes);
-  const unsigned hops = topo_.hops(msg.src, msg.dst);
+    // Destination port: ejection serializes; the message is delivered when
+    // its tail flit has been ejected.
+    eject_start = std::max(head_arrival, eject_free_[msg.dst]);
+    delivered = eject_start + flits;
+    eject_free_[msg.dst] = delivered;
 
-  // Source port: the tail flit leaves `flits` cycles after injection starts.
-  // Jitter delays the injection claim; because the claim still advances
-  // inject_free_ monotonically, per-(src, dst) FIFO order is unaffected.
-  const Cycle start = std::max(q_.now() + jitter(), inject_free_[msg.src]);
-  inject_free_[msg.src] = start + flits;
-
-  // Flight: each switch delays the header by switch_delay cycles; with
-  // link contention on, the header also waits for each channel of the
-  // dimension-ordered route, and the flit stream then occupies it.
-  Cycle head_arrival;
-  if (params_.link_contention) {
-    Cycle head = start;
-    NodeId at = msg.src;
-    while (at != msg.dst) {
-      const NodeId next = topo_.next_hop(at, msg.dst);
-      Cycle& busy = link_free_[static_cast<std::size_t>(at) * topo_.count() + next];
-      head = std::max(head + params_.switch_delay, busy);
-      busy = head + flits;
-      at = next;
+    if (counters_) {
+      ++counters_->messages;
+      counters_->flits += flits;
+      counters_->hops += hops;
     }
-    head_arrival = head;
-  } else {
-    head_arrival = start + params_.switch_delay * hops;
   }
 
-  // Destination port: ejection serializes; the message is delivered when its
-  // tail flit has been ejected.
-  const Cycle eject_start = std::max(head_arrival, eject_free_[msg.dst]);
-  const Cycle delivered = eject_start + flits;
-  eject_free_[msg.dst] = delivered;
-
-  if (counters_) {
-    ++counters_->messages;
-    counters_->flits += flits;
-    counters_->hops += hops;
-  }
-
+  std::uint64_t flow = 0;
   if (trace_) {
-    const std::uint64_t flow = trace_->next_flow_id();
-    trace_->event(net_event(obs::EventKind::MsgSend, start, flits, msg.src,
-                            msg.dst, msg, flow));
-    obs::TraceLog* trace = trace_;
-    q_.schedule_at(delivered, [this, sink, msg, trace, eject_start, flits, flow] {
-      --inflight_[msg.dst];
-      trace->event(net_event(obs::EventKind::MsgRecv, eject_start, flits,
-                             msg.dst, msg.src, msg, flow));
-      sink->deliver(msg);
-    });
-  } else {
-    q_.schedule_at(delivered, [this, sink, msg] {
-      --inflight_[msg.dst];
-      sink->deliver(msg);
-    });
+    flow = trace_->next_flow_id();
+    trace_->event(net_event(obs::EventKind::MsgSend, start, flits, msg.src, msg.dst,
+                            msg, flow));
   }
+  deliver_later(delivered, msg, sink, flow, eject_start, flits);
+}
+
+void Network::deliver_later(Cycle at, const Message& msg, MessageSink* sink,
+                            std::uint64_t flow, Cycle recv_at, Cycle recv_dur) {
+  const std::uint32_t slot = pool_.acquire();
+  InFlight& f = pool_[slot];
+  f.msg = msg;
+  f.sink = sink;
+  f.trace = trace_;
+  f.flow = flow;
+  f.recv_at = recv_at;
+  f.recv_dur = recv_dur;
+  q_.schedule_thunk(at, &Network::deliver_thunk, this, slot);
+}
+
+void Network::deliver_thunk(void* self, std::uint64_t slot) {
+  auto& net = *static_cast<Network*>(self);
+  const auto i = static_cast<std::uint32_t>(slot);
+  // The slot is freed only after deliver() returns: pool addresses are
+  // stable, so messages the sink sends meanwhile take other slots.
+  struct Release {
+    sim::Slab<InFlight>& pool;
+    std::uint32_t i;
+    ~Release() { pool.release(i); }
+  } release{net.pool_, i};
+  const InFlight& f = net.pool_[i];
+  --net.inflight_[f.msg.dst];
+  if (f.trace)
+    f.trace->event(net_event(obs::EventKind::MsgRecv, f.recv_at, f.recv_dur, f.msg.dst,
+                             f.msg.src, f.msg, f.flow));
+  f.sink->deliver(f.msg);
 }
 
 } // namespace ccsim::net

@@ -13,6 +13,7 @@
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/slab.hpp"
 #include "stats/counters.hpp"
 
 #include <cstdint>
@@ -73,7 +74,9 @@ public:
   void set_host(obs::HostPerfCollector* host) noexcept { host_ = host; }
 
   /// Inject a message. Delivery is scheduled on the event queue with full
-  /// endpoint contention accounting.
+  /// endpoint contention accounting; the message waits in a pooled slot, so
+  /// a send allocates nothing once the pool has grown to the peak number of
+  /// messages in flight.
   void send(const Message& msg);
 
   [[nodiscard]] const MeshTopology& topology() const noexcept { return topo_; }
@@ -85,6 +88,23 @@ public:
   [[nodiscard]] std::uint64_t in_flight(NodeId n) const { return inflight_[n]; }
 
 private:
+  /// A message in flight, waiting in the pool for its delivery event. The
+  /// trace fields matter only when the send was traced (trace != nullptr).
+  struct InFlight {
+    Message msg;
+    MessageSink* sink = nullptr;
+    obs::TraceLog* trace = nullptr;
+    std::uint64_t flow = 0;  ///< MsgSend/MsgRecv join id
+    Cycle recv_at = 0;       ///< MsgRecv cycle: ejection start (local: arrival)
+    Cycle recv_dur = 0;      ///< MsgRecv duration: flits ejected (local: 0)
+  };
+
+  /// Deliver `msg` to `sink` at `at`. When tracing is on, delivery emits
+  /// the MsgRecv event (`flow`, `recv_at`, `recv_dur`) first.
+  void deliver_later(Cycle at, const Message& msg, MessageSink* sink,
+                     std::uint64_t flow, Cycle recv_at, Cycle recv_dur);
+  static void deliver_thunk(void* self, std::uint64_t slot);
+
   [[nodiscard]] Cycle jitter() {
     return params_.jitter_max == 0 ? 0 : jitter_rng_.below(params_.jitter_max + 1);
   }
@@ -106,6 +126,7 @@ private:
   std::vector<Cycle> local_last_;
   std::vector<std::uint64_t> inflight_;  ///< undelivered messages per dst
   sim::Rng jitter_rng_;
+  sim::Slab<InFlight> pool_;
 };
 
 } // namespace ccsim::net

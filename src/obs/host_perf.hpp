@@ -15,8 +15,8 @@
 //     *simulated*-cycle boundaries (so the histogram itself is byte-stable
 //     across hosts and runs) plus the true peak depth;
 //   - allocation counters: protocol messages injected, coroutine frames
-//     allocated, events scheduled -- the three allocation streams a pooling
-//     PR would shrink;
+//     allocated, events scheduled. Messages and events use pooled slots
+//     (sim/event_queue.hpp), so only the frames are heap allocations;
 //   - coarse host-time attribution over subsystems (event loop, protocol
 //     handlers, network routing, obs hooks) via the same exclusive
 //     scope-stack scheme as obs::CycleLedger, but charging host nanoseconds
@@ -69,7 +69,7 @@ struct HostPerfReport {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
 
-  // Allocation streams (targets of the pooling roadmap item).
+  // Volume streams: messages use pooled slots, frames are heap allocations.
   std::uint64_t messages = 0;   ///< protocol messages injected (incl. local)
   std::uint64_t frames = 0;     ///< coroutine frames allocated during run()
 

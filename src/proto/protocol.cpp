@@ -72,11 +72,22 @@ std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
 // HomeController
 // ---------------------------------------------------------------------
 
-void HomeController::reply_at(Cycle ready, Message m) {
-  ctx_.q.schedule_at(ready, [this, m]() mutable {
-    if (m.has_block) m.block = memory_.read_block(mem::block_of(m.addr));
-    send(m);
-  });
+void HomeController::reply_at(Cycle ready, const Message& m) {
+  const std::uint32_t slot = replies_.acquire();
+  replies_[slot] = m;
+  ctx_.q.schedule_thunk(ready, &HomeController::reply_thunk, this, slot);
+}
+
+void HomeController::reply_thunk(void* self, std::uint64_t slot) {
+  auto& home = *static_cast<HomeController*>(self);
+  const auto i = static_cast<std::uint32_t>(slot);
+  Message& m = home.replies_[i];
+  if (m.has_block) m.block = home.memory_.read_block(mem::block_of(m.addr));
+  m.src = home.id_;
+  // Network::send copies the message into its own pool, so the slot is
+  // free again before anything the send triggers runs.
+  home.ctx_.net.send(m);
+  home.replies_.release(i);
 }
 
 void HomeController::absorb_writeback(const Message& wb) {

@@ -11,6 +11,7 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/slab.hpp"
 #include "obs/trace.hpp"
 #include "stats/counters.hpp"
 #include "stats/miss_classifier.hpp"
@@ -166,8 +167,9 @@ protected:
   /// Send `m` at `ready`, when the memory bank has served the request. A
   /// reply carrying a block reads memory then, not now: a write absorbed
   /// in between must be reflected in the data (the requester is already
-  /// in the sharer set, so later updates/invals assume it is).
-  void reply_at(Cycle ready, net::Message m);
+  /// in the sharer set, so later updates/invals assume it is). The reply
+  /// waits in a pooled slot.
+  void reply_at(Cycle ready, const net::Message& m);
 
   /// Write the block a Writeback carries to memory and acknowledge it.
   void absorb_writeback(const net::Message& wb);
@@ -176,6 +178,11 @@ protected:
   ProtocolContext& ctx_;
   mem::MemoryModule memory_;
   mem::Directory dir_;
+
+private:
+  static void reply_thunk(void* self, std::uint64_t slot);
+
+  sim::Slab<net::Message> replies_;  ///< replies waiting for their bank
 };
 
 /// True if `t` is addressed to the home (directory/memory) side of a node.

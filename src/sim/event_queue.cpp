@@ -1,23 +1,35 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
-#include <utility>
 
 namespace ccsim::sim {
 
-void EventQueue::schedule_at(Cycle t, Action fn) {
+void EventQueue::schedule_thunk(Cycle t, Thunk thunk, void* obj, std::uint64_t arg) {
   assert(t >= now_ && "cannot schedule an event in the past");
-  heap_.push(Event{t, next_seq_++, std::move(fn)});
+  heap_.push(Event{t, next_seq_++, thunk, obj, arg});
+}
+
+void EventQueue::slab_thunk(void* q, std::uint64_t slot) {
+  auto& self = *static_cast<EventQueue*>(q);
+  const auto i = static_cast<std::uint32_t>(slot);
+  // The slot is freed only after the callable returns (or throws): slab
+  // addresses are stable, so callbacks it schedules take other slots.
+  struct Release {
+    Slab<Callback>& slab;
+    std::uint32_t i;
+    ~Release() { slab.release(i); }
+  } release{self.callbacks_, i};
+  Callback& c = self.callbacks_[i];
+  c.run(c.storage);
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const; the action must be moved out before pop.
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
+  const Event ev = heap_.top();
   heap_.pop();
   now_ = ev.t;
   ++executed_;
-  ev.fn();
+  ev.thunk(ev.obj, ev.arg);
   return true;
 }
 

@@ -138,7 +138,7 @@ struct DelayAwaiter {
   Cycle delay;
   bool await_ready() const noexcept { return delay == 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    q.schedule(delay, [h] { h.resume(); });
+    q.resume_after(delay, h);
   }
   void await_resume() const noexcept {}
 };

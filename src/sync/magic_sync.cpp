@@ -28,7 +28,7 @@ sim::Task MagicLock::release(cpu::Cpu& c) {
   } else {
     auto h = waiters_.front();
     waiters_.pop_front();
-    q_.schedule(1, [h] { h.resume(); });
+    q_.resume_after(1, h);
   }
   co_await sim::delay(c.queue(), 1);
 }

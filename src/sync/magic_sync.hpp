@@ -40,7 +40,7 @@ private:
     void await_suspend(std::coroutine_handle<> h) {
       if (!l.held_) {
         l.held_ = true;
-        l.q_.schedule(1, [h] { h.resume(); });
+        l.q_.resume_after(1, h);
       } else {
         l.waiters_.push_back(h);
       }
@@ -71,7 +71,7 @@ private:
       if (b.waiters_.size() == b.parties_) {
         auto ws = std::move(b.waiters_);
         b.waiters_.clear();
-        for (auto w : ws) b.q_.schedule(1, [w] { w.resume(); });
+        for (auto w : ws) b.q_.resume_after(1, w);
       }
     }
     void await_resume() const noexcept {}

@@ -1,8 +1,10 @@
 // Unit tests for the endpoint-contention wormhole network model.
 #include "net/network.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -115,6 +117,110 @@ TEST_F(NetFixture, CountersTrackVolume) {
   EXPECT_EQ(counters.messages, 2u);
   EXPECT_EQ(counters.flits, 8u + 40u);
   EXPECT_EQ(counters.hops, 2u);
+}
+
+TEST_F(NetFixture, SinkMaySendWhileItsMessageIsPooled) {
+  // Node 1's sink answers one message with a burst of sends large enough
+  // to grow the in-flight pool by several chunks; the message it is
+  // handling lives in that pool and must stay intact meanwhile.
+  struct Burst final : net::MessageSink {
+    net::Network* net = nullptr;
+    Message seen;
+    int handled = 0;
+    void deliver(const Message& m) override {
+      if (m.type != MsgType::GetX) return;
+      ++handled;
+      for (NodeId i = 0; i < 1000; ++i) {
+        Message r;
+        r.type = MsgType::DataS;
+        r.has_block = true;
+        r.src = 1;
+        r.dst = static_cast<NodeId>(i % 8);
+        r.payload = i;
+        net->send(r);
+      }
+      seen = m;  // read after the sends
+    }
+  } burst;
+  burst.net = &net;
+  net.attach(1, burst);
+
+  Message m = mk(0, 1, MsgType::GetX);
+  m.payload = 0xfeed;
+  m.payload2 = 0xbeef;
+  m.requester = 6;
+  m.has_block = true;
+  m.block[0] = std::byte{0x5a};
+  m.block[63] = std::byte{0xa5};
+  net.send(m);
+  q.run();
+
+  ASSERT_EQ(burst.handled, 1);
+  EXPECT_EQ(burst.seen.type, MsgType::GetX);
+  EXPECT_EQ(burst.seen.src, 0u);
+  EXPECT_EQ(burst.seen.dst, 1u);
+  EXPECT_EQ(burst.seen.payload, 0xfeedu);
+  EXPECT_EQ(burst.seen.payload2, 0xbeefu);
+  EXPECT_EQ(burst.seen.requester, 6u);
+  EXPECT_EQ(burst.seen.block[0], std::byte{0x5a});
+  EXPECT_EQ(burst.seen.block[63], std::byte{0xa5});
+  std::size_t replies = 0;
+  for (NodeId i = 0; i < 8; ++i)
+    if (i != 1) replies += sinks[i].got.size();
+  EXPECT_EQ(replies, 1000u - 125u);  // node 1's own 125 went to `burst`
+  EXPECT_EQ(net.in_flight(0), 0u);
+}
+
+/// Every delivery of a fixed mixed traffic pattern as (cycle, dst, payload).
+std::vector<std::tuple<Cycle, NodeId, std::uint64_t>> deliveries(bool traced,
+                                                                  Cycle jitter) {
+  struct Log final : net::MessageSink {
+    sim::EventQueue* q = nullptr;
+    std::vector<std::tuple<Cycle, NodeId, std::uint64_t>>* out = nullptr;
+    void deliver(const Message& m) override {
+      out->emplace_back(q->now(), m.dst, m.payload);
+    }
+  };
+  sim::EventQueue q;
+  net::Network::Params params;
+  params.jitter_max = jitter;
+  params.jitter_seed = 7;
+  net::Network net(q, net::MeshTopology(8), params);
+  obs::TraceLog trace;
+  if (traced) net.set_trace(&trace);
+  std::vector<std::tuple<Cycle, NodeId, std::uint64_t>> out;
+  std::vector<Log> logs(8);
+  for (NodeId i = 0; i < 8; ++i) {
+    logs[i].q = &q;
+    logs[i].out = &out;
+    net.attach(i, logs[i]);
+  }
+  // Local and remote, control and block messages, sent across cycles.
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    q.schedule_at(k / 4, [&net, k] {
+      Message m;
+      m.type = k % 3 == 0 ? MsgType::DataS : MsgType::Update;
+      m.has_block = k % 3 == 0;
+      m.src = static_cast<NodeId>(k % 8);
+      m.dst = static_cast<NodeId>((k * 5 + k / 8) % 8);
+      m.addr = mem::kSharedBase;
+      m.payload = k;
+      net.send(m);
+    });
+  }
+  q.run();
+  if (traced) {
+    EXPECT_EQ(trace.total_events(), 2u * 64u);  // one send + one recv each
+  }
+  return out;
+}
+
+TEST(NetworkTrace, TracingNeverMovesADelivery) {
+  for (Cycle jitter : {Cycle{0}, Cycle{5}}) {
+    const auto plain = deliveries(false, jitter);
+    ASSERT_EQ(plain.size(), 64u);
+    EXPECT_EQ(deliveries(true, jitter), plain) << "jitter " << jitter;
+  }
 }
 
 TEST(NetworkSizes, WireBytesPerType) {
