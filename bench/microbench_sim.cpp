@@ -9,16 +9,24 @@ namespace {
 
 using namespace ccsim;
 
+/// One event re-scheduling itself 1000 times. Its callable captures one
+/// pointer, so it travels inline in the queue's event record and the
+/// benchmark times the queue alone, with no callable copy or allocation.
+struct Churn {
+  sim::EventQueue& q;
+  int count = 0;
+  void step() {
+    if (++count < 1000) q.schedule(1, [this] { step(); });
+  }
+};
+
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
-    int count = 0;
-    std::function<void()> chain = [&] {
-      if (++count < 1000) q.schedule(1, chain);
-    };
-    q.schedule(1, chain);
+    Churn churn{q};
+    q.schedule(1, [&churn] { churn.step(); });
     q.run();
-    benchmark::DoNotOptimize(count);
+    benchmark::DoNotOptimize(churn.count);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

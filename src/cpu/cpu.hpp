@@ -15,7 +15,7 @@
 
 #include "mem/address.hpp"
 #include "obs/cycle_accounting.hpp"
-#include "proto/protocol.hpp"
+#include "proto/cache_controller.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 
@@ -169,7 +169,7 @@ public:
           return;
         }
         const mem::BlockAddr b = mem::block_of(addr);
-        mem::DataCache& cache = cpu.cc_.cache_for(b);
+        mem::DataCache& cache = cpu.cc_.cache();
         if (cache.find(b)) {
           // Line cached: sleep until it changes, then re-poll (1 cycle of
           // loop overhead models the compare-and-branch).

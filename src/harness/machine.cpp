@@ -8,14 +8,17 @@
 namespace ccsim::harness {
 
 namespace {
-/// Reject machine sizes the model cannot represent before any member is
+/// Reject configurations the model cannot represent before any member is
 /// built from them (a zero-node mesh divides by zero; sharer bitmaps are
-/// 32 bits wide).
+/// 32 bits wide; a Hybrid machine's unbound blocks need a real protocol).
 const MachineConfig& checked(const MachineConfig& cfg) {
   if (cfg.nprocs == 0 || cfg.nprocs > kMaxProcs)
     throw std::invalid_argument("Machine: nprocs must be in [1, " +
                                 std::to_string(kMaxProcs) + "], got " +
                                 std::to_string(cfg.nprocs));
+  if (cfg.protocol == proto::Protocol::Hybrid &&
+      cfg.hybrid_default == proto::Protocol::Hybrid)
+    throw std::invalid_argument("Machine: hybrid_default must be WI, PU or CU");
   return cfg;
 }
 } // namespace
@@ -54,10 +57,8 @@ Machine::Machine(MachineConfig cfg)
            hot_.get(),
            observers_.any() ? &observers_ : nullptr,
            cfg.consistency,
-           cfg.hybrid_default} {
-  if (checker_ && cfg_.protocol == proto::Protocol::Hybrid)
-    throw std::invalid_argument(
-        "check_invariants is not supported on Protocol::Hybrid");
+           cfg.hybrid_default,
+           cfg.protocol} {
   if (trace_) {
     if (cfg_.obs.sink) trace_->add_sink(cfg_.obs.sink);
     net_.set_trace(trace_.get());
@@ -71,9 +72,9 @@ Machine::Machine(MachineConfig cfg)
   nodes_.reserve(cfg_.nprocs);
   procs_.reserve(cfg_.nprocs);
   for (NodeId i = 0; i < cfg_.nprocs; ++i) {
-    nodes_.push_back(std::make_unique<proto::Node>(cfg_.protocol, i, ctx_,
-                                                   cfg_.cache_bytes, cfg_.wb_entries,
-                                                   cfg_.timings, host_.get()));
+    nodes_.push_back(std::make_unique<proto::Node>(i, ctx_, cfg_.cache_bytes,
+                                                   cfg_.wb_entries, cfg_.timings,
+                                                   host_.get()));
     net_.attach(i, *nodes_.back());
     procs_.push_back(std::make_unique<cpu::Processor>(i, q_, nodes_[i]->cache_ctrl()));
     procs_.back()->cpu().set_ledger(ledger_.get());
@@ -237,7 +238,7 @@ void Machine::poke(Addr addr, std::uint64_t value, std::size_t size) {
   assert(mem::is_shared(addr));
   const mem::BlockAddr b = mem::block_of(addr);
   const NodeId home = alloc_.home_of(b);
-  mem::MemoryModule& m = nodes_[home]->home_ctrl().memory_for(b);
+  mem::MemoryModule& m = nodes_[home]->home_ctrl().memory();
   m.write_word(addr, size, value);
   if (ctx_.observer) {
     // Pass the full resulting word so sub-word pokes stay consistent with
@@ -258,13 +259,13 @@ std::uint64_t Machine::peek(Addr addr, std::size_t size) {
   const NodeId home = alloc_.home_of(b);
   auto& hc = nodes_[home]->home_ctrl();
   // A dirty copy (WI Exclusive / PU Private) holds the freshest data.
-  if (const mem::DirEntry* e = hc.directory_for(b).find(b);
+  if (const mem::DirEntry* e = hc.directory().find(b);
       e && (e->state == mem::DirState::Exclusive || e->state == mem::DirState::Private) &&
       e->owner != kInvalidNode) {
-    if (nodes_[e->owner]->cache_ctrl().cache_for(b).find(b))
-      return nodes_[e->owner]->cache_ctrl().cache_for(b).read(addr, size);
+    if (nodes_[e->owner]->cache_ctrl().cache().find(b))
+      return nodes_[e->owner]->cache_ctrl().cache().read(addr, size);
   }
-  return hc.memory_for(b).read_word(addr, size);
+  return hc.memory().read_word(addr, size);
 }
 
 } // namespace ccsim::harness

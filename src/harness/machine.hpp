@@ -14,7 +14,6 @@
 #include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "proto/hybrid.hpp"
 #include "proto/node.hpp"
 #include "proto/protocol.hpp"
 #include "sim/event_queue.hpp"
@@ -59,9 +58,8 @@ struct ObsConfig {
   /// obs/observer.hpp): assert the single-writable-copy and value-history
   /// invariants on the fly and audit directories, caches and data against
   /// shadow memory at the end of the run. Pure observer -- it schedules no
-  /// events, so simulated cycle counts are identical with it on or off. Not supported on
-  /// Protocol::Hybrid (three engines share each node; the per-node
-  /// cache/directory pairing the checker audits does not exist).
+  /// events, so simulated cycle counts are identical with it on or off.
+  /// Works under every protocol, Hybrid included.
   bool check_invariants = false;
   /// Collect host-performance telemetry (obs/host_perf.hpp): simulator
   /// throughput, event-queue depth statistics, allocation counters, and
@@ -129,7 +127,8 @@ public:
   /// Hybrid machines (protocol == Protocol::Hybrid): bind every block of
   /// [addr, addr+size) to a coherence protocol. Regions left unbound use
   /// MachineConfig::hybrid_default. Must be called before the run and
-  /// never across a block already bound differently.
+  /// never across a block already bound differently. Stores to blocks of
+  /// different modes drain independently: only a fence orders them.
   void bind_protocol(Addr addr, std::size_t size, proto::Protocol p);
 
   /// Read simulated shared memory after the run (home memory; for checking

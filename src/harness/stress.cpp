@@ -42,6 +42,19 @@ RunResult run_stress_cell(const MachineConfig& cfg, const StressParams& params) 
       m.alloc().allocate(mem::kBlockSize, mem::kBlockSize, "stress.counters");
   constexpr std::size_t kAtomicWords = mem::kWordsPerBlock - 1;
 
+  // Hybrid machines: bind every data block and the counters block to a
+  // random protocol, from a stream of its own (processors use streams
+  // 1..P), so the schedule drawn from `master` is the same on every
+  // machine. The sync constructs stay on cfg.hybrid_default.
+  if (cfg.protocol == proto::Protocol::Hybrid) {
+    constexpr proto::Protocol kModes[] = {proto::Protocol::WI, proto::Protocol::PU,
+                                          proto::Protocol::CU};
+    sim::Rng bind(sim::Rng::derive(params.seed, 1 + kMaxProcs));
+    for (unsigned i = 0; i < params.data_blocks; ++i)
+      m.bind_protocol(arena + i * mem::kBlockSize, mem::kBlockSize, kModes[bind.below(3)]);
+    m.bind_protocol(counters, mem::kBlockSize, kModes[bind.below(3)]);
+  }
+
   std::unique_ptr<sync::Lock> lock;
   if (master.below(2) == 0)
     lock = std::make_unique<sync::TicketLock>(m);

@@ -11,7 +11,10 @@
 // a pure function of (seed, nprocs): the master seed picks the per-segment
 // constructs and per-processor streams derive from it, so one seed replays
 // byte-identically -- including under deterministic network jitter
-// (net::Network::Params::jitter_max), which perturbs timing only.
+// (net::Network::Params::jitter_max), which perturbs timing only. On a
+// Protocol::Hybrid machine each data block and the counters block is bound
+// to WI, PU or CU by a seed-derived stream; the sync constructs run on
+// MachineConfig::hybrid_default.
 //
 // Built-in end-to-end checks (all independent of the invariant checker):
 // host-side mutual exclusion, reduction results against the oracle, and a

@@ -2,8 +2,11 @@
 //
 // Stores enter the buffer in 1 cycle; the processor stalls only when the
 // buffer is full. Reads bypass queued writes, with store-to-load forwarding
-// when a queued entry covers the loaded bytes. Drain policy (when an entry
-// may retire) is protocol-specific and lives in the cache controllers.
+// when a queued entry covers the loaded bytes. Each entry carries a drain
+// lane: entries of one lane retire in program order, entries of different
+// lanes independently, all sharing the one capacity. Drain policy (which
+// lane an entry joins, when it may retire) is protocol-specific and lives
+// in the cache controllers.
 #pragma once
 
 #include "mem/address.hpp"
@@ -20,6 +23,7 @@ struct WriteBufferEntry {
   Addr addr = 0;
   std::size_t size = 0;
   std::uint64_t value = 0;
+  std::uint8_t lane = 0;
 };
 
 class WriteBuffer {
@@ -41,8 +45,15 @@ public:
   [[nodiscard]] std::uint64_t pushes() const noexcept { return pushes_; }
   [[nodiscard]] std::size_t peak() const noexcept { return peak_; }
 
-  [[nodiscard]] const WriteBufferEntry& front() const { return entries_.front(); }
-  void pop() { entries_.pop_front(); }
+  /// Oldest entry of `lane`; the lane must have one.
+  [[nodiscard]] const WriteBufferEntry& front(std::uint8_t lane) const {
+    return *oldest(lane);
+  }
+  /// Retire the oldest entry of `lane`; the lane must have one.
+  void pop(std::uint8_t lane) { entries_.erase(oldest(lane)); }
+  [[nodiscard]] bool has_lane(std::uint8_t lane) const {
+    return oldest(lane) != entries_.end();
+  }
 
   /// Newest queued value covering exactly the loaded bytes, if any.
   [[nodiscard]] std::optional<std::uint64_t> forward(Addr addr, std::size_t size) const;
@@ -56,6 +67,12 @@ public:
   [[nodiscard]] bool contains_block(BlockAddr b) const;
 
 private:
+  [[nodiscard]] std::deque<WriteBufferEntry>::const_iterator oldest(std::uint8_t lane) const {
+    auto it = entries_.begin();
+    while (it != entries_.end() && it->lane != lane) ++it;
+    return it;
+  }
+
   std::size_t capacity_;
   std::deque<WriteBufferEntry> entries_;
   std::uint64_t pushes_ = 0;

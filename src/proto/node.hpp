@@ -3,22 +3,20 @@
 #pragma once
 
 #include "obs/host_perf.hpp"
-#include "proto/protocol.hpp"
-
-#include <memory>
+#include "proto/cache_controller.hpp"
+#include "proto/home_controller.hpp"
 
 namespace ccsim::proto {
 
 class Node final : public net::MessageSink {
 public:
   /// `host` (may be null) receives this node's message-handling host time.
-  Node(Protocol p, NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-       std::size_t wb_entries, mem::MemTimings timings,
-       obs::HostPerfCollector* host)
+  Node(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes, std::size_t wb_entries,
+       mem::MemTimings timings, obs::HostPerfCollector* host)
       : id_(id),
         ctx_(ctx),
-        cache_ctrl_(make_cache_controller(p, id, ctx, cache_bytes, wb_entries)),
-        home_ctrl_(make_home_controller(p, id, ctx, timings)),
+        cache_ctrl_(id, ctx, cache_bytes, wb_entries),
+        home_ctrl_(id, ctx, timings),
         host_(host) {}
 
   void deliver(const net::Message& msg) override {
@@ -29,19 +27,19 @@ public:
       ctx_.trace->event(obs::recv_event(home ? obs::TraceCat::Home : obs::TraceCat::Cache,
                                         ctx_.q.now(), id_, msg));
     if (home)
-      home_ctrl_->on_message(msg);
+      home_ctrl_.on_message(msg);
     else
-      cache_ctrl_->on_message(msg);
+      cache_ctrl_.on_message(msg);
   }
 
-  [[nodiscard]] CacheController& cache_ctrl() noexcept { return *cache_ctrl_; }
-  [[nodiscard]] HomeController& home_ctrl() noexcept { return *home_ctrl_; }
+  [[nodiscard]] CacheController& cache_ctrl() noexcept { return cache_ctrl_; }
+  [[nodiscard]] HomeController& home_ctrl() noexcept { return home_ctrl_; }
 
 private:
   NodeId id_;
   ProtocolContext& ctx_;
-  std::unique_ptr<CacheController> cache_ctrl_;
-  std::unique_ptr<HomeController> home_ctrl_;
+  CacheController cache_ctrl_;
+  HomeController home_ctrl_;
   obs::HostPerfCollector* host_;  ///< null unless host metrics are on
 };
 

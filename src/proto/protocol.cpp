@@ -1,14 +1,9 @@
 #include "proto/protocol.hpp"
 
-#include "proto/cache_base.hpp"
-#include "proto/update_controllers.hpp"
-#include "proto/hybrid.hpp"
-#include "proto/wi_controllers.hpp"
 #include "sim/check.hpp"
 
 namespace ccsim::proto {
 
-using net::Message;
 using net::MsgType;
 
 bool is_home_bound(MsgType t) noexcept {
@@ -31,286 +26,15 @@ bool is_home_bound(MsgType t) noexcept {
   }
 }
 
-std::unique_ptr<CacheController> make_cache_controller(Protocol p, NodeId id,
-                                                       ProtocolContext& ctx,
-                                                       std::size_t cache_bytes,
-                                                       std::size_t wb_entries) {
+std::uint8_t domain_of_protocol(Protocol p) {
   switch (p) {
-    case Protocol::WI:
-      return std::make_unique<WiCacheController>(id, ctx, cache_bytes, wb_entries);
-    case Protocol::PU:
-      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes, wb_entries,
-                                                     /*drop_threshold=*/0);
-    case Protocol::CU:
-      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes, wb_entries,
-                                                     ctx.cu_threshold);
-    case Protocol::Hybrid:
-      return std::make_unique<HybridCacheController>(id, ctx, cache_bytes, wb_entries);
+    case Protocol::WI: return 1;
+    case Protocol::PU: return 2;
+    case Protocol::CU: return 3;
+    case Protocol::Hybrid: break;
   }
-  return nullptr;
-}
-
-std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
-                                                     ProtocolContext& ctx,
-                                                     mem::MemTimings timings) {
-  switch (p) {
-    case Protocol::WI:
-      return std::make_unique<WiHomeController>(id, ctx, timings);
-    case Protocol::PU:
-      return std::make_unique<UpdateHomeController>(id, ctx, timings,
-                                                    /*enable_private=*/true);
-    case Protocol::CU:
-      return std::make_unique<UpdateHomeController>(id, ctx, timings,
-                                                    /*enable_private=*/false);
-    case Protocol::Hybrid:
-      return std::make_unique<HybridHomeController>(id, ctx, timings);
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------
-// HomeController
-// ---------------------------------------------------------------------
-
-void HomeController::reply_at(Cycle ready, const Message& m) {
-  const std::uint32_t slot = replies_.acquire();
-  replies_[slot] = m;
-  ctx_.q.schedule_thunk(ready, &HomeController::reply_thunk, this, slot);
-}
-
-void HomeController::reply_thunk(void* self, std::uint64_t slot) {
-  auto& home = *static_cast<HomeController*>(self);
-  const auto i = static_cast<std::uint32_t>(slot);
-  Message& m = home.replies_[i];
-  if (m.has_block) m.block = home.memory_.read_block(mem::block_of(m.addr));
-  m.src = home.id_;
-  // Network::send copies the message into its own pool, so the slot is
-  // free again before anything the send triggers runs.
-  home.ctx_.net.send(m);
-  home.replies_.release(i);
-}
-
-void HomeController::absorb_writeback(const Message& wb) {
-  const mem::BlockAddr b = mem::block_of(wb.addr);
-  memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-  memory_.write_block(b, wb.block);
-  Message ack;
-  ack.type = MsgType::WritebackAck;
-  ack.dst = wb.src;
-  ack.addr = mem::block_base(b);
-  send(ack);
-}
-
-// ---------------------------------------------------------------------
-// BaseCacheController
-// ---------------------------------------------------------------------
-
-void BaseCacheController::cpu_load(Addr a, std::size_t size, LoadCallback done) {
-  assert(mem::within_word(a, size));
-  if (!mem::is_shared(a)) {
-    const std::uint64_t v = read_private(a);
-    ctx_.q.schedule(kHitCycles, [done = std::move(done), v] { done(v); });
-    return;
-  }
-  ++ctx_.counters.mem.shared_reads;
-  ctx_.updates.on_reference(id_, a);
-
-  // Reads bypass queued writes; an exactly-matching queued store forwards.
-  if (auto fwd = wb_.forward(a, size)) {
-    ctx_.q.schedule(kHitCycles, [done = std::move(done), v = *fwd] { done(v); });
-    return;
-  }
-  if (wb_.partially_overlaps(a, size)) {
-    // Rare: wait a cycle for the buffer to drain past the overlap.
-    ctx_.q.schedule(1, [this, a, size, done = std::move(done)]() mutable {
-      --ctx_.counters.mem.shared_reads;  // will be recounted on retry
-      cpu_load(a, size, std::move(done));
-    });
-    return;
-  }
-
-  const mem::BlockAddr b = mem::block_of(a);
-  if (mem::CacheLine* line = cache_.find(b)) {
-    ++ctx_.counters.mem.read_hits;
-    on_cache_hit(*line, a);
-    complete_load_later(a, size, std::move(done));
-    return;
-  }
-  // An outstanding fetch of the block satisfies the load; it is not a new miss.
-  if (join_txn(b, LoadWaiter{a, size, std::move(done)})) fetch_shared(a);
-}
-
-void BaseCacheController::cpu_store(Addr a, std::size_t size, std::uint64_t v,
-                                    DoneCallback done) {
-  assert(mem::within_word(a, size));
-  if (!mem::is_shared(a)) {
-    private_mem_[a] = v;
-    ctx_.q.schedule(kHitCycles, std::move(done));
-    return;
-  }
-  ++ctx_.counters.mem.shared_writes;
-  ctx_.updates.on_reference(id_, a);
-
-  // Under sequential consistency the store completes (from the
-  // processor's view) only once globally performed: chain a full fence
-  // behind the buffer-accept.
-  if (ctx_.consistency == Consistency::Sequential) {
-    done = [this, done = std::move(done)]() mutable { cpu_fence(std::move(done)); };
-  }
-
-  const mem::WriteBufferEntry e{a, size, v};
-  if (!wb_.full()) {
-    wb_.push(e);
-    ctx_.q.schedule(kHitCycles, std::move(done));
-    kick_drain();
-    return;
-  }
-  store_stalls_.push_back({e, std::move(done), ctx_.q.now()});
-}
-
-void BaseCacheController::cpu_fence(DoneCallback done) {
-  if (fence_clear()) {
-    ctx_.q.schedule(0, std::move(done));
-    return;
-  }
-  const Cycle entered = ctx_.q.now();
-  fence_waiters_.push_back([this, entered, done = std::move(done)]() mutable {
-    ctx_.counters.mem.fence_stall_cycles += ctx_.q.now() - entered;
-    done();
-  });
-}
-
-void BaseCacheController::cpu_flush(Addr a, DoneCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  if (wb_.contains_block(b) || txns_.contains(b)) {
-    ctx_.q.schedule(1, [this, a, done = std::move(done)]() mutable {
-      cpu_flush(a, std::move(done));
-    });
-    return;
-  }
-  if (mem::CacheLine* line = cache_.find(b)) evict_line(*line);
-  ctx_.q.schedule(kHitCycles, std::move(done));
-}
-
-bool BaseCacheController::join_txn(mem::BlockAddr b, LoadWaiter w) {
-  auto [it, opened] = txns_.try_emplace(b);
-  it->second.loads.push_back(std::move(w));
-  return opened;
-}
-
-bool BaseCacheController::join_txn(mem::BlockAddr b, std::function<void()> retry) {
-  auto [it, opened] = txns_.try_emplace(b);
-  it->second.retries.push_back(std::move(retry));
-  return opened;
-}
-
-void BaseCacheController::fetch_shared(Addr a) {
-  ctx_.misses.classify_miss(id_, a);
-  Message m;
-  m.type = MsgType::GetS;
-  m.dst = ctx_.alloc.home_of(mem::block_of(a));
-  m.addr = a;
-  send(m);
-}
-
-void BaseCacheController::complete_txn(mem::BlockAddr b) {
-  auto it = txns_.find(b);
-  CCSIM_CHECK(it != txns_.end(),
-              "node=%u block=%#llx cycle=%llu: transaction completing that was "
-              "never opened",
-              static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
-              static_cast<unsigned long long>(ctx_.q.now()));
-  Txn t = std::move(it->second);
-  txns_.erase(it);
-
-  // Waiting loads complete at +1 reading the line then (see
-  // complete_load_later); if the deferred invalidation below takes the
-  // line first, they retry with a fresh fetch.
-  for (auto& w : t.loads) complete_load_later(w.addr, w.size, std::move(w.done));
-  for (auto& r : t.retries) ctx_.q.schedule(1, std::move(r));
-
-  if (t.inval_on_fill) {
-    if (mem::CacheLine* line = cache_.find(b)) invalidate_line(*line, t.inval_trigger);
-  }
-}
-
-bool BaseCacheController::park_fill(const Message& fill) {
-  const mem::BlockAddr b = mem::block_of(fill.addr);
-  const mem::CacheLine& victim = cache_.set_for(b);
-  if (!victim.valid() || victim.block == b) return false;
-  auto it = txns_.find(victim.block);
-  if (it == txns_.end()) return false;
-  it->second.retries.push_back([this, fill] { on_message(fill); });
-  return true;
-}
-
-void BaseCacheController::install(mem::BlockAddr b,
-                                  const std::array<std::byte, mem::kBlockSize>& data,
-                                  mem::LineState state) {
-  mem::CacheLine& line = cache_.set_for(b);
-  if (line.valid() && line.block != b) evict_line(line);
-  line.block = b;
-  line.state = state;
-  line.data = data;
-  line.cu_counter = 0;
-  ctx_.misses.on_fill(id_, b);
-  cache_.notify(b);
-}
-
-void BaseCacheController::evict_line(mem::CacheLine& line) {
-  const mem::BlockAddr b = line.block;
-  Message m;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = mem::block_base(b);
-  if (line.state == mem::LineState::Modified ||
-      line.state == mem::LineState::PrivateDirty) {
-    m.type = MsgType::Writeback;
-    m.has_block = true;
-    m.block = line.data;
-    note_writeback_sent(b);
-  } else {
-    m.type = MsgType::ReplHint;
-  }
-  send(m);
-  ctx_.misses.on_evicted(id_, b);
-  ctx_.updates.on_block_replaced(id_, b);
-  line.state = mem::LineState::Invalid;
-  cache_.notify(b);
-}
-
-void BaseCacheController::invalidate_line(mem::CacheLine& l, Addr trigger) {
-  ctx_.misses.on_invalidated(id_, l.block, trigger);
-  l.state = mem::LineState::Invalid;
-  cache_.notify(l.block);
-}
-
-void BaseCacheController::entry_done() {
-  wb_.pop();
-  if (!store_stalls_.empty()) {
-    StalledStore s = std::move(store_stalls_.front());
-    store_stalls_.erase(store_stalls_.begin());
-    ctx_.counters.mem.write_buffer_stalls += ctx_.q.now() - s.since;
-    wb_.push(s.entry);
-    ctx_.q.schedule(kHitCycles, std::move(s.done));
-  }
-  check_fences();
-  if (!wb_.empty())
-    ctx_.q.schedule(1, [this] { drain_head(); });
-  else
-    draining_ = false;
-}
-
-void BaseCacheController::kick_drain() {
-  if (draining_ || wb_.empty()) return;
-  draining_ = true;
-  ctx_.q.schedule(1, [this] { drain_head(); });
-}
-
-void BaseCacheController::check_fences() {
-  if (!fence_clear() || fence_waiters_.empty()) return;
-  std::vector<DoneCallback> ws = std::move(fence_waiters_);
-  fence_waiters_.clear();
-  for (auto& w : ws) w();
+  CCSIM_CHECK(false, "cannot bind a region to the Hybrid pseudo-protocol");
+  return 0;
 }
 
 } // namespace ccsim::proto

@@ -1,25 +1,25 @@
-// Coherence-protocol framework: the interfaces the CPU model and the node
-// wiring program against, plus the factory selecting WI / PU / CU.
+// Coherence-protocol framework: the protocol and consistency enums, the
+// per-block protocol mode, and the services every controller of one
+// machine shares.
+//
+// Each node runs one CacheController (proto/cache_controller.hpp) and one
+// HomeController (proto/home_controller.hpp). Both pick the WI or the
+// update state machine per block, from ProtocolContext::mode_of: on a pure
+// machine every block has the machine's protocol; on a Hybrid machine each
+// block has the protocol its allocator domain names.
 #pragma once
 
 #include "mem/address.hpp"
-#include "mem/cache.hpp"
-#include "mem/directory.hpp"
-#include "mem/memory_module.hpp"
 #include "mem/shared_alloc.hpp"
-#include "mem/write_buffer.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/slab.hpp"
 #include "obs/trace.hpp"
 #include "stats/counters.hpp"
 #include "stats/miss_classifier.hpp"
 #include "stats/update_classifier.hpp"
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 namespace ccsim::obs {
 class HotBlockTable;
@@ -35,8 +35,8 @@ enum class Protocol : std::uint8_t {
   CU,  ///< competitive update (PU + per-block counters, threshold 4)
   /// Per-region protocol binding on one machine (the paper's
   /// programmable-protocol-processor scenario, FLASH/Typhoon style):
-  /// shared regions are tagged WI/PU/CU via Machine::bind_protocol and
-  /// each node runs all three engines side by side.
+  /// shared regions are tagged WI/PU/CU via Machine::bind_protocol, and
+  /// each block runs the protocol its tag names (see mode_of).
   Hybrid,
 };
 
@@ -55,6 +55,22 @@ enum class Protocol : std::uint8_t {
 /// shared store until it is globally performed -- provided as an ablation
 /// of how much the constructs' performance depends on RC.
 enum class Consistency : std::uint8_t { Release, Sequential };
+
+/// Maps a block's allocator domain id to the protocol serving it on a
+/// Hybrid machine. Domain 0 = `fallback` (the machine's hybrid_default);
+/// domains 1..3 = WI/PU/CU.
+[[nodiscard]] constexpr Protocol domain_protocol(std::uint8_t domain,
+                                                 Protocol fallback) noexcept {
+  switch (domain) {
+    case 1: return Protocol::WI;
+    case 2: return Protocol::PU;
+    case 3: return Protocol::CU;
+    default: return fallback;
+  }
+}
+
+/// Domain id for binding a region to `p` (WI, PU or CU; see above).
+[[nodiscard]] std::uint8_t domain_of_protocol(Protocol p);
 
 /// Services shared by every controller of one simulated machine.
 struct ProtocolContext {
@@ -75,6 +91,16 @@ struct ProtocolContext {
   Consistency consistency = Consistency::Release;
   /// Hybrid machines: protocol for blocks whose domain id is 0.
   Protocol hybrid_default = Protocol::WI;
+  /// The machine's protocol: WI, PU, CU, or Hybrid.
+  Protocol protocol = Protocol::WI;
+
+  /// The protocol block `b` runs: WI, PU or CU, never Hybrid. A pure
+  /// machine answers without an allocator lookup.
+  [[nodiscard]] Protocol mode_of(mem::BlockAddr b) const {
+    return protocol != Protocol::Hybrid
+               ? protocol
+               : domain_protocol(alloc.domain_of(b), hybrid_default);
+  }
 };
 
 /// Point-in-time occupancy of a cache controller's queues, reported in
@@ -86,114 +112,7 @@ struct CacheDebug {
   int outstanding = 0;          ///< granted-but-unacknowledged operations
 };
 
-/// Processor-side controller: cache + write buffer + protocol engine.
-///
-/// Completion callbacks fire when the operation completes from the
-/// processor's point of view (loads: data available; stores: accepted by
-/// the write buffer; atomics: old value returned; fences: all prior writes
-/// globally performed).
-class CacheController {
-public:
-  using LoadCallback = std::function<void(std::uint64_t)>;
-  using DoneCallback = std::function<void()>;
-
-  explicit CacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-                           std::size_t wb_entries)
-      : id_(id), ctx_(ctx), cache_(cache_bytes), wb_(wb_entries) {}
-  virtual ~CacheController() = default;
-
-  virtual void cpu_load(Addr a, std::size_t size, LoadCallback done) = 0;
-  virtual void cpu_store(Addr a, std::size_t size, std::uint64_t v, DoneCallback done) = 0;
-  virtual void cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
-                          LoadCallback done) = 0;
-  /// Release fence: wait for the write buffer to drain and all coherence
-  /// acknowledgements of prior writes to arrive.
-  virtual void cpu_fence(DoneCallback done) = 0;
-  /// User-level block flush (PowerPC-604 style): drop `block_of(a)` from
-  /// this cache, writing it back if dirty.
-  virtual void cpu_flush(Addr a, DoneCallback done) = 0;
-
-  virtual void on_message(const net::Message& msg) = 0;
-
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] mem::DataCache& cache() noexcept { return cache_; }
-  /// The cache that holds (or would hold) `b` -- hybrid controllers
-  /// dispatch to the owning protocol's cache; plain ones return cache().
-  [[nodiscard]] virtual mem::DataCache& cache_for(mem::BlockAddr) noexcept {
-    return cache_;
-  }
-  [[nodiscard]] const mem::WriteBuffer& write_buffer() const noexcept { return wb_; }
-
-  /// Queue occupancy snapshot for watchdog/deadlock diagnostics.
-  [[nodiscard]] virtual CacheDebug debug_state() const {
-    return {wb_.size(), 0, 0, 0};
-  }
-
-protected:
-  NodeId id_;
-  ProtocolContext& ctx_;
-  mem::DataCache cache_;
-  mem::WriteBuffer wb_;
-};
-
-/// Home-side controller: directory + memory bank + protocol engine. Owns
-/// what every protocol's home does alike: sending, timing a reply to its
-/// memory access, and absorbing a writeback.
-class HomeController {
-public:
-  HomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings)
-      : id_(id), ctx_(ctx), memory_(timings) {}
-  virtual ~HomeController() = default;
-
-  virtual void on_message(const net::Message& msg) = 0;
-
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] mem::MemoryModule& memory() noexcept { return memory_; }
-  [[nodiscard]] mem::Directory& directory() noexcept { return dir_; }
-  /// Hybrid dispatch points (plain homes return their own members).
-  [[nodiscard]] virtual mem::MemoryModule& memory_for(mem::BlockAddr) noexcept {
-    return memory_;
-  }
-  [[nodiscard]] virtual mem::Directory& directory_for(mem::BlockAddr) noexcept {
-    return dir_;
-  }
-
-protected:
-  void send(net::Message m) {
-    m.src = id_;
-    ctx_.net.send(m);
-  }
-
-  /// Send `m` at `ready`, when the memory bank has served the request. A
-  /// reply carrying a block reads memory then, not now: a write absorbed
-  /// in between must be reflected in the data (the requester is already
-  /// in the sharer set, so later updates/invals assume it is). The reply
-  /// waits in a pooled slot.
-  void reply_at(Cycle ready, const net::Message& m);
-
-  /// Write the block a Writeback carries to memory and acknowledge it.
-  void absorb_writeback(const net::Message& wb);
-
-  NodeId id_;
-  ProtocolContext& ctx_;
-  mem::MemoryModule memory_;
-  mem::Directory dir_;
-
-private:
-  static void reply_thunk(void* self, std::uint64_t slot);
-
-  sim::Slab<net::Message> replies_;  ///< replies waiting for their bank
-};
-
 /// True if `t` is addressed to the home (directory/memory) side of a node.
 [[nodiscard]] bool is_home_bound(net::MsgType t) noexcept;
-
-std::unique_ptr<CacheController> make_cache_controller(Protocol p, NodeId id,
-                                                       ProtocolContext& ctx,
-                                                       std::size_t cache_bytes,
-                                                       std::size_t wb_entries);
-std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
-                                                     ProtocolContext& ctx,
-                                                     mem::MemTimings timings);
 
 } // namespace ccsim::proto

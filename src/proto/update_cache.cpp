@@ -1,9 +1,22 @@
-#include "proto/update_controllers.hpp"
+// Update-based cache side, PU and CU (paper section 3.1).
+//
+// Writes write through the cache to the home; the home multicasts updates
+// to the other sharers and tells the writer how many acknowledgements to
+// expect; sharers ack the writer directly; the writer stalls for acks only
+// at release fences. Writes ALLOCATE: a write miss first fetches the
+// block, so writers keep caching what they write -- this is what makes
+// MCS-lock writers accumulate copies of other processors' qnodes and
+// receive an update for each modification of them (paper section 4.1),
+// and what the update-conscious flushes undo. Under PU a copy the home
+// makes private (PrivateDirty) retains its writes locally until recalled.
+// Under CU each copy counts updates received since its last local
+// reference and self-invalidates at ctx.cu_threshold, sending the home a
+// Prune so no further updates are sent. Atomics execute at the home.
+#include "proto/cache_controller.hpp"
 
 #include "obs/observer.hpp"
 #include "sim/check.hpp"
 
-#include <cassert>
 #include <string>
 
 namespace ccsim::proto {
@@ -12,21 +25,10 @@ using net::Message;
 using net::MsgType;
 
 // ---------------------------------------------------------------------
-// evictions
+// stores: write through to the home, write-allocate on a miss
 // ---------------------------------------------------------------------
 
-void UpdateCacheController::evict_line(mem::CacheLine& line) {
-  const mem::BlockAddr b = line.block;
-  BaseCacheController::evict_line(line);
-  if (atomic_.active && mem::block_of(atomic_.addr) == b) atomic_.fill_ok = false;
-}
-
-// ---------------------------------------------------------------------
-// stores: write through to the home, no allocate on miss
-// ---------------------------------------------------------------------
-
-void UpdateCacheController::drain_head() {
-  const mem::WriteBufferEntry e = wb_.front();
+void CacheController::update_drain(const mem::WriteBufferEntry& e) {
   const mem::BlockAddr b = mem::block_of(e.addr);
   mem::CacheLine* line = cache_.find(b);
 
@@ -38,14 +40,14 @@ void UpdateCacheController::drain_head() {
     line->cu_counter = 0;
     // Single writer: a store into a private copy is globally ordered here.
     if (ctx_.observer) ctx_.observer->on_global_write(id_, e.addr, word_at(e.addr));
-    entry_done();
+    entry_done(e.lane);
     return;
   }
   if (!line) {
     // Write-allocate: fetch the block first, then write through. The
     // writer stays a sharer afterwards, receiving updates for every later
     // modification of the block until it drops or flushes the copy.
-    if (join_txn(b, [this] { drain_head(); })) fetch_shared(e.addr);
+    if (join_txn(b, [this, lane = e.lane] { drain_head(lane); })) fetch_shared(e.addr);
     return;
   }
   // Keep our own copy fresh; the global store is performed at the home.
@@ -61,16 +63,15 @@ void UpdateCacheController::drain_head() {
   m.payload2 = e.size;
   send(m);
   ++outstanding_;  // one UpdateGrant per write-through
-  entry_done();    // write-through does not block the buffer
+  entry_done(e.lane);  // write-through does not block the buffer
 }
 
 // ---------------------------------------------------------------------
 // atomics: executed at the home memory
 // ---------------------------------------------------------------------
 
-void UpdateCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
-                                       std::uint64_t v2, LoadCallback done) {
-  assert(mem::is_shared(a));
+void CacheController::update_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
+                                    std::uint64_t v2, LoadCallback done) {
   CCSIM_CHECK(!atomic_.active,
               "node=%u addr=%#llx cycle=%llu: second atomic issued while one "
               "is in flight",
@@ -112,7 +113,7 @@ void UpdateCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v
 // incoming messages
 // ---------------------------------------------------------------------
 
-void UpdateCacheController::apply_update(const Message& msg) {
+void CacheController::apply_update(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   mem::CacheLine* line = cache_.find(b);
 
@@ -130,7 +131,9 @@ void UpdateCacheController::apply_update(const Message& msg) {
     send(ack);
     return;
   }
-  if (drop_threshold_ != 0 && ++line->cu_counter >= drop_threshold_) {
+  const unsigned drop_threshold =
+      ctx_.mode_of(b) == Protocol::CU ? ctx_.cu_threshold : 0;  // 0: never drop
+  if (drop_threshold != 0 && ++line->cu_counter >= drop_threshold) {
     // Competitive policy: this update trips the counter; self-invalidate
     // and ask the home to stop sending updates.
     ctx_.updates.on_drop_update(id_, msg.addr);
@@ -162,10 +165,11 @@ void UpdateCacheController::apply_update(const Message& msg) {
   send(ack);
 }
 
-void UpdateCacheController::on_message(const Message& msg) {
+void CacheController::update_on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  // Both fills park on an MSHR conflict (defensive: under the update
-  // protocols a valid line cannot have a transaction outstanding).
+  // Both fills park on an MSHR conflict. Only a WI victim can have a
+  // transaction outstanding (an Upgrade, on a Hybrid machine): an update
+  // block's valid line never does.
   switch (msg.type) {
     case MsgType::DataS:
       if (park_fill(msg)) break;

@@ -1,10 +1,14 @@
-#include "proto/update_controllers.hpp"
+// Update-based home side, PU and CU (paper section 3.1): the home orders
+// write-throughs, multicasts them to the other sharers and performs
+// atomics in memory. A PU home hands a block written by its only sharer
+// to that writer in private mode and recalls it on the next foreign
+// request; a CU home never grants private mode.
+#include "proto/home_controller.hpp"
 
 #include "obs/hot_blocks.hpp"
 #include "obs/observer.hpp"
 #include "sim/check.hpp"
 
-#include <cassert>
 #include <string>
 
 namespace ccsim::proto {
@@ -14,7 +18,7 @@ using net::MsgType;
 using mem::DirEntry;
 using mem::DirState;
 
-void UpdateHomeController::on_message(const Message& msg) {
+void HomeController::update_on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   switch (msg.type) {
     case MsgType::GetS:
@@ -102,9 +106,9 @@ void UpdateHomeController::on_message(const Message& msg) {
   }
 }
 
-void UpdateHomeController::process(const Message& msg) {
+void HomeController::process(const Message& msg) {
   switch (msg.type) {
-    case MsgType::GetS: serve_gets(msg); break;
+    case MsgType::GetS: update_serve_gets(msg); break;
     case MsgType::UpdateReq: serve_update(msg); break;
     case MsgType::AtomicReq: serve_atomic(msg); break;
     default:
@@ -115,7 +119,7 @@ void UpdateHomeController::process(const Message& msg) {
   }
 }
 
-void UpdateHomeController::start_recall(mem::BlockAddr b, const Message& first) {
+void HomeController::start_recall(mem::BlockAddr b, const Message& first) {
   DirEntry& e = dir_.entry(b);
   CCSIM_CHECK(e.state == DirState::Private,
               "home=%u block=%#llx cycle=%llu: recall of a block not in "
@@ -131,7 +135,7 @@ void UpdateHomeController::start_recall(mem::BlockAddr b, const Message& first) 
   send(r);
 }
 
-void UpdateHomeController::replay(mem::BlockAddr b) {
+void HomeController::replay(mem::BlockAddr b) {
   auto it = pending_.find(b);
   if (it == pending_.end()) return;
   std::deque<Message> queued = std::move(it->second.queued);
@@ -149,7 +153,7 @@ void UpdateHomeController::replay(mem::BlockAddr b) {
   }
 }
 
-void UpdateHomeController::serve_gets(const Message& msg) {
+void HomeController::update_serve_gets(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Private) {
@@ -175,9 +179,9 @@ void UpdateHomeController::serve_gets(const Message& msg) {
   reply_at(ready, d);
 }
 
-void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
-                                            std::uint64_t value, std::size_t size,
-                                            NodeId writer, unsigned& count) {
+void HomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
+                                      std::uint64_t value, std::size_t size,
+                                      NodeId writer, unsigned& count) {
   DirEntry& e = dir_.entry(b);
   count = 0;
   for (NodeId s = 0; s < ctx_.nprocs; ++s) {
@@ -194,7 +198,7 @@ void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
   }
 }
 
-void UpdateHomeController::serve_update(const Message& msg) {
+void HomeController::serve_update(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Private && e.owner != msg.src) {
@@ -218,7 +222,7 @@ void UpdateHomeController::serve_update(const Message& msg) {
   if (e.state == DirState::Private) {
     // The writer raced its own private grant: keep it private.
     g.flag = true;
-  } else if (enable_private_ && e.state == DirState::Update &&
+  } else if (ctx_.mode_of(b) == Protocol::PU && e.state == DirState::Update &&
              e.only_sharer_is(msg.src)) {
     // Only the writer caches this block: tell it to retain future updates
     // (PU's private-block optimization, paper section 3.1).
@@ -233,7 +237,7 @@ void UpdateHomeController::serve_update(const Message& msg) {
   send(g);
 }
 
-void UpdateHomeController::serve_atomic(const Message& msg) {
+void HomeController::serve_atomic(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Private) {

@@ -1,9 +1,13 @@
-#include "proto/wi_controllers.hpp"
+// Write-invalidate cache side (DASH-like, release consistent; paper
+// section 3.1): MSI states. Read misses send GetS; writes drain from the
+// write buffer and send GetX (Invalid) or Upgrade (Shared); the processor
+// stalls for invalidation acknowledgements only at release fences. Atomic
+// instructions obtain an exclusive copy and execute in the cache controller.
+#include "proto/cache_controller.hpp"
 
 #include "obs/observer.hpp"
 #include "sim/check.hpp"
 
-#include <cassert>
 #include <string>
 
 namespace ccsim::proto {
@@ -15,30 +19,29 @@ using net::MsgType;
 // stores (write-buffer drain)
 // ---------------------------------------------------------------------
 
-void WiCacheController::perform_store(const mem::WriteBufferEntry& e) {
+void CacheController::perform_store(const mem::WriteBufferEntry& e) {
   cache_.write(e.addr, e.size, e.value);
   ctx_.misses.on_store(id_, e.addr);
   // A store into a Modified line is globally ordered the moment it lands.
   if (ctx_.observer) ctx_.observer->on_global_write(id_, e.addr, word_at(e.addr));
 }
 
-void WiCacheController::drain_head() {
-  const mem::WriteBufferEntry e = wb_.front();
+void CacheController::wi_drain(const mem::WriteBufferEntry& e) {
   mem::CacheLine* line = cache_.find(mem::block_of(e.addr));
   if (line && line->state == mem::LineState::Modified) {
     ++ctx_.counters.mem.write_hits;
     perform_store(e);
-    entry_done();
+    entry_done(e.lane);
     return;
   }
-  request_exclusive(e.addr, line, [this] { drain_head(); });
+  request_exclusive(e.addr, line, [this, lane = e.lane] { drain_head(lane); });
 }
 
 /// Wait for an exclusive copy of `a`'s block, then `retry`: join the
 /// block's outstanding transaction, or open one with an Upgrade (the line
 /// is Shared) or a GetX.
-void WiCacheController::request_exclusive(Addr a, const mem::CacheLine* line,
-                                          std::function<void()> retry) {
+void CacheController::request_exclusive(Addr a, const mem::CacheLine* line,
+                                        std::function<void()> retry) {
   const mem::BlockAddr b = mem::block_of(a);
   if (!join_txn(b, std::move(retry))) return;
   ++outstanding_;
@@ -60,8 +63,8 @@ void WiCacheController::request_exclusive(Addr a, const mem::CacheLine* line,
 // atomics (executed in the cache controller under WI)
 // ---------------------------------------------------------------------
 
-void WiCacheController::do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t v1,
-                                        std::uint64_t v2, LoadCallback done) {
+void CacheController::do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t v1,
+                                      std::uint64_t v2, LoadCallback done) {
   const std::uint64_t old = cache_.read(a, mem::kWordSize);
   if (ctx_.observer) ctx_.observer->on_read(id_, a, old);
   if (const auto next = net::apply_atomic(op, old, v1, v2)) {
@@ -72,26 +75,25 @@ void WiCacheController::do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t 
   ctx_.q.schedule(kAtomicCycles, [done = std::move(done), old] { done(old); });
 }
 
-void WiCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
-                                   std::uint64_t v2, LoadCallback done) {
-  assert(mem::is_shared(a));
+void CacheController::wi_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
+                                std::uint64_t v2, LoadCallback done) {
   ++ctx_.counters.mem.atomics;
   // Atomic instructions force a write-buffer flush (paper, section 3.1).
   cpu_fence([this, op, a, v1, v2, done = std::move(done)]() mutable {
     ctx_.updates.on_reference(id_, a);
-    cpu_atomic_resume(op, a, v1, v2, std::move(done));
+    wi_atomic_resume(op, a, v1, v2, std::move(done));
   });
 }
 
-void WiCacheController::cpu_atomic_resume(net::AtomicOp op, Addr a, std::uint64_t v1,
-                                          std::uint64_t v2, LoadCallback done) {
+void CacheController::wi_atomic_resume(net::AtomicOp op, Addr a, std::uint64_t v1,
+                                       std::uint64_t v2, LoadCallback done) {
   mem::CacheLine* line = cache_.find(mem::block_of(a));
   if (line && line->state == mem::LineState::Modified) {
     do_atomic_local(op, a, v1, v2, std::move(done));
     return;
   }
   request_exclusive(a, line, [this, op, a, v1, v2, done = std::move(done)]() mutable {
-    cpu_atomic_resume(op, a, v1, v2, std::move(done));
+    wi_atomic_resume(op, a, v1, v2, std::move(done));
   });
 }
 
@@ -102,7 +104,7 @@ void WiCacheController::cpu_atomic_resume(net::AtomicOp op, Addr a, std::uint64_
 /// The exclusive copy of `b` arrived (DataX / OwnerDataX) or the Shared
 /// line was upgraded (UpgAck): `acks` invalidation acks will follow.
 /// ExclDone closes the home's transaction.
-void WiCacheController::grant_exclusive(mem::BlockAddr b, std::uint64_t acks) {
+void CacheController::grant_exclusive(mem::BlockAddr b, std::uint64_t acks) {
   if (ctx_.observer) ctx_.observer->on_writable(id_, b);
   pending_acks_ += static_cast<std::int64_t>(acks);
   --outstanding_;
@@ -115,7 +117,7 @@ void WiCacheController::grant_exclusive(mem::BlockAddr b, std::uint64_t acks) {
   check_fences();
 }
 
-void WiCacheController::on_message(const Message& msg) {
+void CacheController::wi_on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   switch (msg.type) {
     case MsgType::DataS:

@@ -1,10 +1,11 @@
-#include "proto/wi_controllers.hpp"
+// Write-invalidate home side: a DASH-like full-map directory (paper
+// section 3.1). See proto/home_controller.hpp for the transaction rules.
+#include "proto/home_controller.hpp"
 
 #include "obs/hot_blocks.hpp"
 #include "obs/observer.hpp"
 #include "sim/check.hpp"
 
-#include <cassert>
 #include <string>
 
 namespace ccsim::proto {
@@ -14,13 +15,13 @@ using net::MsgType;
 using mem::DirEntry;
 using mem::DirState;
 
-void WiHomeController::begin(const Message& req) {
+void HomeController::begin(const Message& req) {
   const mem::BlockAddr b = mem::block_of(req.addr);
   active_.emplace(b, Active{req, false, false, false});
   dispatch(b);
 }
 
-void WiHomeController::close(mem::BlockAddr b) {
+void HomeController::close(mem::BlockAddr b) {
   active_.erase(b);
   auto it = queued_.find(b);
   if (it == queued_.end() || it->second.empty()) {
@@ -33,7 +34,7 @@ void WiHomeController::close(mem::BlockAddr b) {
   begin(next);
 }
 
-void WiHomeController::restart(mem::BlockAddr b) {
+void HomeController::restart(mem::BlockAddr b) {
   auto it = active_.find(b);
   CCSIM_CHECK(it != active_.end(),
               "home=%u block=%#llx cycle=%llu: restart of a transaction that "
@@ -46,7 +47,7 @@ void WiHomeController::restart(mem::BlockAddr b) {
   dispatch(b);
 }
 
-void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
+void HomeController::wi_serve_gets(mem::BlockAddr b, const Message& req) {
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // The requester evicted its dirty copy and re-missed before the
@@ -78,7 +79,7 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
   close(b);
 }
 
-void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
+void HomeController::serve_getx(mem::BlockAddr b, const Message& req) {
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // Writeback from the requester itself is still in flight (see
@@ -115,7 +116,7 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
 
 /// Invalidate every sharer of `e` but the requester of `req`; the acks
 /// flow directly to the requester. Returns how many it should expect.
-unsigned WiHomeController::invalidate_sharers(DirEntry& e, const Message& req) {
+unsigned HomeController::invalidate_sharers(DirEntry& e, const Message& req) {
   unsigned acks = 0;
   for (NodeId s = 0; s < ctx_.nprocs; ++s) {
     if (s == req.src || !e.has_sharer(s)) continue;
@@ -131,12 +132,12 @@ unsigned WiHomeController::invalidate_sharers(DirEntry& e, const Message& req) {
   return acks;
 }
 
-void WiHomeController::dispatch(mem::BlockAddr b) {
+void HomeController::dispatch(mem::BlockAddr b) {
   const Message req = active_.at(b).req;
   DirEntry& e = dir_.entry(b);
   switch (req.type) {
     case MsgType::GetS:
-      serve_gets(b, req);
+      wi_serve_gets(b, req);
       break;
     case MsgType::GetX:
       serve_getx(b, req);
@@ -172,7 +173,7 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
   }
 }
 
-void WiHomeController::on_message(const Message& msg) {
+void HomeController::wi_on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   switch (msg.type) {
     case MsgType::GetS:

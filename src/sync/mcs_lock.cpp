@@ -34,8 +34,9 @@ sim::Task McsLock::acquire(cpu::Cpu& c) {
   const Addr pred = co_await c.fetch_store(tail_, I);
   if (pred != 0) {
     // Queue was non-empty: link behind the predecessor and spin on our own
-    // flag. The write buffer drains FIFO, so locked=1 is performed before
-    // pred->next becomes visible.
+    // flag. The write buffer drains a mode's stores in program order, so
+    // locked=1 is performed before pred->next becomes visible (on a Hybrid
+    // machine every qnode must therefore share one mode).
     co_await c.store(I + kLockedOff, 1);
     co_await c.store(pred + kNextOff, I);
     if (update_conscious_) co_await c.flush(pred);  // Flush *pred (figure 2)

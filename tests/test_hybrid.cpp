@@ -21,6 +21,12 @@ MachineConfig hybrid(unsigned n, Protocol def = Protocol::WI) {
   return c;
 }
 
+MachineConfig checked_hybrid(unsigned n) {
+  MachineConfig c = hybrid(n);
+  c.obs.check_invariants = true;
+  return c;
+}
+
 void bind_dissemination(Machine& m, sync::DisseminationBarrier& b, Protocol p) {
   for (NodeId i = 0; i < m.nprocs(); ++i)
     for (unsigned parity = 0; parity < 2; ++parity)
@@ -40,6 +46,82 @@ TEST(Hybrid, BindRequiresHybridMachine) {
   Machine m(cfg);
   const Addr a = m.alloc().allocate_on(0, 8);
   EXPECT_THROW(m.bind_protocol(a, 8, Protocol::PU), std::logic_error);
+}
+
+TEST(Hybrid, DefaultMustBeAConcreteProtocol) {
+  EXPECT_THROW({ Machine m(hybrid(2, Protocol::Hybrid)); }, std::invalid_argument);
+}
+
+TEST(Hybrid, ModesShareOneCacheAndEvictEachOther) {
+  // A WI block and a CU block one cache size apart map to the same line of
+  // the direct-mapped cache: each fill evicts the other, and the home sees
+  // the eviction its protocol expects.
+  Machine m(checked_hybrid(2));
+  const std::size_t span = m.config().cache_bytes;
+  const Addr wi = m.alloc().allocate_on(1, span + mem::kBlockSize);
+  const Addr cu = wi + span;
+  m.bind_protocol(wi, mem::kBlockSize, Protocol::WI);
+  m.bind_protocol(cu, mem::kBlockSize, Protocol::CU);
+  mem::DataCache& cache = m.node(0).cache_ctrl().cache();
+  ASSERT_EQ(&cache.set_for(mem::block_of(wi)), &cache.set_for(mem::block_of(cu)));
+
+  m.run({[&](cpu::Cpu& c) -> sim::Task {
+    co_await c.store(wi, 7);
+    co_await c.fence();  // the WI line is Modified
+    EXPECT_EQ(co_await c.load(cu), 0u);  // dirty victim: Writeback
+    EXPECT_EQ(cache.find(mem::block_of(wi)), nullptr);
+    EXPECT_EQ(co_await c.load(wi), 7u);  // clean ValidU victim: ReplHint
+    EXPECT_EQ(cache.find(mem::block_of(cu)), nullptr);
+  }});
+  EXPECT_EQ(m.counters().net.of(net::MsgType::Writeback), 1u);
+  EXPECT_EQ(m.counters().net.of(net::MsgType::ReplHint), 1u);
+  mem::Directory& dir = m.node(1).home_ctrl().directory();
+  const mem::DirEntry* we = dir.find(mem::block_of(wi));
+  ASSERT_NE(we, nullptr);
+  EXPECT_EQ(we->state, mem::DirState::Shared);
+  EXPECT_TRUE(we->has_sharer(0));
+  const mem::DirEntry* ce = dir.find(mem::block_of(cu));
+  ASSERT_NE(ce, nullptr);
+  EXPECT_EQ(ce->state, mem::DirState::Unowned);
+  EXPECT_FALSE(ce->has_sharer(0));
+  EXPECT_GT(m.invariant_checks(), 0u);
+}
+
+TEST(Hybrid, StoresOfDifferentModesDrainIndependently) {
+  // A CU store that misses waits in the write buffer for its
+  // write-allocate fetch. On a Hybrid machine a later PU store to a cached
+  // block drains past it; a pure machine drains in program order. A fence
+  // still waits for both.
+  const auto queued_after_miss = [](MachineConfig cfg) {
+    cfg.nprocs = 2;
+    cfg.obs.check_invariants = true;
+    Machine m(cfg);
+    const Addr cu = m.alloc().allocate_on(1, mem::kBlockSize);
+    const Addr pu = m.alloc().allocate_on(1, mem::kBlockSize);
+    if (cfg.protocol == Protocol::Hybrid) {
+      m.bind_protocol(cu, mem::kBlockSize, Protocol::CU);
+      m.bind_protocol(pu, mem::kBlockSize, Protocol::PU);
+    }
+    const mem::WriteBuffer& wb = m.node(0).cache_ctrl().write_buffer();
+    std::size_t queued = 0;
+    m.run({[&](cpu::Cpu& c) -> sim::Task {
+      co_await c.load(pu);  // cache the PU block
+      co_await c.store(cu, 1);  // miss: write-allocate fetch
+      co_await c.store(pu, 2);  // hit: write-through
+      co_await c.think(5);
+      queued = wb.size();
+      co_await c.fence();
+      EXPECT_TRUE(wb.empty());
+    }});
+    EXPECT_EQ(m.peek(cu), 1u);
+    EXPECT_EQ(m.peek(pu), 2u);
+    EXPECT_GT(m.invariant_checks(), 0u);
+    return queued;
+  };
+  EXPECT_EQ(queued_after_miss(hybrid(2)), 1u);  // only the CU store waits
+  MachineConfig pure;
+  pure.protocol = Protocol::CU;
+  EXPECT_EQ(queued_after_miss(pure), 2u);  // one mode: program order
 }
 
 TEST(Hybrid, MixedDomainsProduceMixedTrafficSignatures) {
@@ -91,7 +173,7 @@ TEST(Hybrid, DefaultDomainUsesHybridDefault) {
 
 TEST(Hybrid, ConstructsRunCorrectlyInTheirDomains) {
   const unsigned n = 8;
-  Machine m(hybrid(n));
+  Machine m(checked_hybrid(n));
   sync::McsLock lock(m);
   sync::DisseminationBarrier barrier(m);
   bind_mcs(m, lock, Protocol::CU);
@@ -115,10 +197,11 @@ TEST(Hybrid, ConstructsRunCorrectlyInTheirDomains) {
   EXPECT_GT(m.counters().net.of(net::MsgType::GetX) +
                 m.counters().net.of(net::MsgType::Upgrade),
             0u);
+  EXPECT_GT(m.invariant_checks(), 0u);
 }
 
 TEST(Hybrid, AtomicsRouteToTheirDomainEngine) {
-  Machine m(hybrid(4));
+  Machine m(checked_hybrid(4));
   const Addr wi_ctr = m.alloc().allocate_on(0, 8);
   const Addr pu_ctr = m.alloc().allocate_on(0, 8);
   m.bind_protocol(wi_ctr, 8, Protocol::WI);
@@ -133,6 +216,7 @@ TEST(Hybrid, AtomicsRouteToTheirDomainEngine) {
   EXPECT_EQ(m.peek(pu_ctr), 40u);
   // PU atomics run at the home; WI atomics in the cache.
   EXPECT_EQ(m.counters().net.of(net::MsgType::AtomicReq), 40u);
+  EXPECT_GT(m.invariant_checks(), 0u);
 }
 
 TEST(Hybrid, BestOfBothBeatsPureMachines) {
@@ -209,6 +293,31 @@ TEST(Hybrid, PunchlineLockWantsCuBarrierWantsWi) {
   EXPECT_LT(hy, run(Protocol::WI, false));
   EXPECT_LT(hy, run(Protocol::PU, false));
   EXPECT_LT(hy, run(Protocol::CU, false));
+}
+
+TEST(Hybrid, UnboundMachineMatchesItsDefaultProtocol) {
+  // Every block on hybrid_default: the per-block mode must add nothing,
+  // so the run is cycle- and message-identical to the pure machine.
+  for (Protocol p : {Protocol::WI, Protocol::PU, Protocol::CU}) {
+    const auto run = [&](MachineConfig cfg) {
+      Machine m(cfg);
+      sync::McsLock lock(m);
+      sync::DisseminationBarrier barrier(m);
+      const Cycle cycles = m.run_all([&](cpu::Cpu& c) -> sim::Task {
+        for (int i = 0; i < 8; ++i) {
+          co_await lock.acquire(c);
+          co_await c.think(20);
+          co_await lock.release(c);
+          co_await barrier.wait(c);
+        }
+      });
+      return std::make_pair(cycles, m.counters().net.by_type);
+    };
+    MachineConfig pure;
+    pure.protocol = p;
+    pure.nprocs = 4;
+    EXPECT_EQ(run(hybrid(4, p)), run(pure)) << proto::to_string(p);
+  }
 }
 
 TEST(Hybrid, DeterministicLikeEverythingElse) {

@@ -172,11 +172,6 @@ TEST(InvariantChecker, CorruptedValueIsCaughtAtTheReadingProcessor) {
   }
 }
 
-TEST(InvariantChecker, HybridIsRejected) {
-  MachineConfig cfg = checked(proto::Protocol::Hybrid);
-  EXPECT_THROW({ Machine m(cfg); }, std::invalid_argument);
-}
-
 TEST(InvariantChecker, ObserverDoesNotChangeSimulatedCycles) {
   for (proto::Protocol p :
        {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {

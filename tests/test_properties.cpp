@@ -207,6 +207,7 @@ TEST_P(RandomWorkload, HybridRandomDomainsKeepAllInvariants) {
   cfg.protocol = Protocol::Hybrid;
   cfg.hybrid_default = p;  // reuse the protocol axis as the default domain
   cfg.nprocs = n;
+  cfg.obs.check_invariants = true;
   Machine m(cfg);
   constexpr unsigned kWords = 24;
   const Addr base = m.alloc().allocate(kWords * mem::kWordSize, mem::kBlockSize);
@@ -251,6 +252,7 @@ TEST_P(RandomWorkload, HybridRandomDomainsKeepAllInvariants) {
     }
   });
   EXPECT_EQ(m.peek(ctr), ctr_expect);
+  EXPECT_GT(m.invariant_checks(), 0u);
 }
 
 TEST_P(RandomWorkload, MixedConstructsStressRun) {

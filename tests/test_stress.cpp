@@ -51,6 +51,26 @@ TEST(Stress, CellsPassTheCheckerOnEveryProtocol) {
     EXPECT_GT(r.cycles, 0u) << proto::to_string(p);
     EXPECT_GT(r.invariant_checks, 0u) << proto::to_string(p);
   }
+  // Hybrid: data blocks on seed-chosen modes, sync constructs on the
+  // default; both invalidation and update traffic must show up.
+  for (Cycle jitter : {Cycle{0}, Cycle{17}}) {
+    for (proto::Protocol def :
+         {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {
+      MachineConfig cfg = stress_machine(proto::Protocol::Hybrid, jitter);
+      cfg.hybrid_default = def;
+      const RunResult r = run_stress_cell(cfg, small_params());
+      const std::string what =
+          "Hybrid/" + std::string(proto::to_string(def)) + " jitter " +
+          std::to_string(jitter);
+      EXPECT_GT(r.cycles, 0u) << what;
+      EXPECT_GT(r.invariant_checks, 0u) << what;
+      EXPECT_GT(r.counters.net.of(net::MsgType::GetX) +
+                    r.counters.net.of(net::MsgType::Upgrade),
+                0u)
+          << what;
+      EXPECT_GT(r.counters.net.of(net::MsgType::UpdateReq), 0u) << what;
+    }
+  }
 }
 
 TEST(Stress, RacingMcsHandoffPassesTheStateAwareAudit) {

@@ -17,8 +17,8 @@ TEST(WriteBuffer, CapacityAndFifo) {
   }
   EXPECT_TRUE(wb.full());
   for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(wb.front().value, i);
-    wb.pop();
+    EXPECT_EQ(wb.front(0).value, i);
+    wb.pop(0);
   }
   EXPECT_TRUE(wb.empty());
 }
@@ -48,6 +48,25 @@ TEST(WriteBuffer, PartialOverlapDetection) {
   EXPECT_TRUE(wb.partially_overlaps(kSharedBase, 8));   // covers bytes 4..7
   EXPECT_FALSE(wb.partially_overlaps(kSharedBase, 4));  // disjoint bytes 0..3
   EXPECT_FALSE(wb.partially_overlaps(kSharedBase + 4, 4));  // exact match
+}
+
+TEST(WriteBuffer, LanesRetireInOrderIndependentlyAndShareCapacity) {
+  WriteBuffer wb(4);
+  wb.push({kSharedBase, 8, 1, 0});
+  wb.push({kSharedBase + 64, 8, 2, 1});
+  wb.push({kSharedBase + 8, 8, 3, 0});
+  wb.push({kSharedBase + 72, 8, 4, 1});
+  EXPECT_TRUE(wb.full());  // one capacity across lanes
+  EXPECT_EQ(wb.front(1).value, 2u);  // lane 1 retires ahead of lane 0
+  wb.pop(1);
+  EXPECT_EQ(wb.front(1).value, 4u);
+  wb.pop(1);
+  EXPECT_FALSE(wb.has_lane(1));
+  EXPECT_EQ(wb.front(0).value, 1u);  // lane 0 kept its program order
+  wb.pop(0);
+  EXPECT_EQ(wb.front(0).value, 3u);
+  wb.pop(0);
+  EXPECT_TRUE(wb.empty());
 }
 
 TEST(WriteBuffer, ContainsBlock) {
