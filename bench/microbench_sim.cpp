@@ -43,6 +43,39 @@ void BM_EventQueueFanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFanOut)->Arg(1024)->Arg(16384);
 
+/// update_storm's regime: about 600 events pending, each re-scheduling
+/// itself with that workload's delay mix (per scheduled event at 32
+/// processors: 44 % at least 1,024 cycles ahead, 29 % at least 4,096, the
+/// largest 12,370; DESIGN.md section 6). The queue is built and filled
+/// once, outside the timed loop, and stays at 600 pending throughout.
+struct Deep {
+  static constexpr std::size_t kPending = 600;
+  sim::EventQueue q;
+  std::vector<Cycle> delays;
+  std::size_t next = 0;
+
+  Deep() : delays(4096) {
+    sim::Rng rng(1);
+    for (Cycle& d : delays) {
+      const std::uint64_t r = rng.below(100);
+      d = r < 40   ? rng.below(64)
+          : r < 56 ? rng.between(64, 1023)
+          : r < 71 ? rng.between(1024, 4095)
+                   : rng.between(4096, 12370);
+    }
+    for (std::size_t i = 0; i < kPending; ++i) fire();
+  }
+  void fire() { q.schedule(delays[next++ % delays.size()], [this] { fire(); }); }
+};
+
+void BM_EventQueueDeep(benchmark::State& state) {
+  static Deep deep;
+  for (auto _ : state)
+    for (int i = 0; i < 1000; ++i) deep.q.step();
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueDeep);
+
 sim::Task delay_loop(sim::EventQueue& q, int n) {
   for (int i = 0; i < n; ++i) co_await sim::delay(q, 1);
 }

@@ -113,13 +113,15 @@ Cycle Machine::run(const std::vector<Program>& programs) {
   // self-rescheduling sampler event would defeat drain-based deadlock
   // detection), the watchdog compares each event time against the last
   // progress, and the host collector sees queue depth between events.
-  while (!q_.empty() && q_.next_time() <= cfg_.max_cycles) {
+  while (!q_.empty()) {
+    const Cycle next = q_.next_time();
+    if (next > cfg_.max_cycles) break;
     if (watch) {
       if (progress_ != seen_progress) {
         seen_progress = progress_;
         progress_cycle = q_.now();
       } else if (remaining != 0 &&
-                 q_.next_time() > progress_cycle + cfg_.watchdog_stall_cycles) {
+                 next > progress_cycle + cfg_.watchdog_stall_cycles) {
         throw DeadlockError(diagnose("watchdog: no memory operation completed for " +
                                          std::to_string(cfg_.watchdog_stall_cycles) +
                                          " cycles (livelock?)",
@@ -128,9 +130,9 @@ Cycle Machine::run(const std::vector<Program>& programs) {
     }
     if (sampler) {
       obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
-      sampler->advance_to(q_.next_time());
+      sampler->advance_to(next);
     }
-    if (host_) host_->before_event(q_.next_time(), q_.pending());
+    if (host_) host_->before_event(next, q_.pending());
     q_.step();
   }
   const bool drained = q_.empty();

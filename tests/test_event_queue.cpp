@@ -1,13 +1,17 @@
 // Unit tests for the discrete-event kernel.
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 #include "sim/slab.hpp"
 #include "sim/task.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -182,6 +186,193 @@ TEST(EventQueue, OversizedCallableIsBoxed) {
   q.run();
   EXPECT_EQ(seen, 42u);
   EXPECT_EQ(q.scheduled(), 1u);
+}
+
+/// Differential check against a reference (t, seq) sort. Seeded random
+/// schedules from every producer kind, outside and inside running events,
+/// keep a population of pending events alive: zero delays and same-cycle
+/// ties, delays on either side of the wheel's span, far events whose cycle
+/// later receives near events once the window reaches it, and enough
+/// simulated time for the bucket index to wrap many times. Before every
+/// step the queue's counters and next_time() must match the reference set
+/// of pending events, and every event must run exactly when and in the
+/// order the reference says.
+class Differential {
+public:
+  Differential(std::uint64_t seed, std::size_t population, std::size_t budget)
+      : rng_(seed), population_(population), budget_(budget) {}
+
+  void run() {
+    for (std::size_t i = 0; i < population_; ++i) schedule_one();
+    std::vector<ccsim::sim::Task> sleepers;
+    for (int i = 0; i < 4; ++i) {
+      sleepers.push_back(sleeper());
+      sleepers.back().start();
+    }
+    while (!q_.empty()) {
+      ASSERT_EQ(q_.pending(), pending_.size());
+      ASSERT_EQ(q_.scheduled(), times_.size());
+      ASSERT_EQ(q_.executed(), fired_.size());
+      ASSERT_EQ(q_.scheduled(), q_.executed() + q_.pending());
+      ASSERT_EQ(q_.next_time(), pending_.begin()->first);
+      const std::uint64_t expect = pending_.begin()->second;
+      ASSERT_TRUE(q_.step());
+      ASSERT_FALSE(fired_.empty());
+      ASSERT_EQ(fired_[q_.executed() - 1], expect);
+      ASSERT_EQ(q_.now(), times_[expect]);
+    }
+    EXPECT_FALSE(q_.step());
+    EXPECT_TRUE(pending_.empty());
+    EXPECT_EQ(q_.pending(), 0u);
+    for (const ccsim::sim::Task& t : sleepers) EXPECT_TRUE(t.done());
+
+    // The whole run against one sort of every scheduled event by (t, seq).
+    std::vector<std::uint64_t> reference(times_.size());
+    for (std::uint64_t seq = 0; seq < reference.size(); ++seq) reference[seq] = seq;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [&](std::uint64_t a, std::uint64_t b) { return times_[a] < times_[b]; });
+    EXPECT_EQ(fired_, reference);
+    EXPECT_GT(q_.now(), 8 * EventQueue::kSpan);  // the wheel wrapped
+  }
+
+  std::size_t migrated_ties() const { return migrated_ties_; }
+
+private:
+  /// Record the event about to take sequence number q_.scheduled().
+  std::uint64_t admit(Cycle t) {
+    const std::uint64_t seq = q_.scheduled();
+    times_.push_back(t);
+    pending_.emplace(t, seq);
+    if (far_cycles_.count(t) != 0 && t - q_.now() < EventQueue::kSpan) ++migrated_ties_;
+    return seq;
+  }
+
+  /// The event `seq` runs: it must be the reference's earliest.
+  void fire(std::uint64_t seq) {
+    fired_.push_back(seq);
+    pending_.erase({times_[seq], seq});
+    // Keep the population near its target until the budget runs out.
+    const std::size_t children = pending_.size() < population_ ? 2 : rng_.below(2);
+    for (std::size_t i = 0; i < children; ++i) schedule_one();
+  }
+
+  Cycle pick_time() {
+    const Cycle now = q_.now();
+    const Cycle span = EventQueue::kSpan;
+    switch (rng_.below(10)) {
+      case 0: return now;                                    // same-cycle tie
+      case 1:
+      case 2: return now + rng_.below(64);                   // near
+      case 3: return now + span - 2 + rng_.below(5);         // at the span's edge
+      case 4: return remember(now + span + rng_.below(3 * span));  // overflow
+      case 5:
+      case 6: {  // a cycle some far event was scheduled for
+        if (far_.empty()) return now + rng_.below(64);
+        const Cycle t = far_[rng_.below(far_.size())];
+        return t >= now ? t : now + rng_.below(64);
+      }
+      case 7: return now + rng_.below(span);                 // anywhere in the window
+      case 8: return remember(now + 40 * span + rng_.below(span));  // very far
+      default: return now + 1;
+    }
+  }
+
+  Cycle remember(Cycle t) {
+    if (far_.size() < 64) far_.push_back(t);
+    else far_[rng_.below(far_.size())] = t;
+    far_cycles_.insert(t);
+    return t;
+  }
+
+  static void thunk(void* self, std::uint64_t seq) {
+    static_cast<Differential*>(self)->fire(seq);
+  }
+
+  /// One event from a randomly chosen callback producer.
+  void schedule_one() {
+    if (times_.size() >= budget_) return;
+    const Cycle t = pick_time();
+    const std::uint64_t seq = admit(t);
+    switch (rng_.below(4)) {
+      case 0: q_.schedule_at(t, [this, seq] { fire(seq); }); break;  // in the record
+      case 1: {  // in a slab slot
+        const std::array<std::uint64_t, 4> pad{seq, seq, seq, seq};
+        q_.schedule_at(t, [this, pad] { fire(pad[3]); });
+        break;
+      }
+      case 2: {  // boxed
+        std::array<std::uint64_t, 12> big{};
+        big[11] = seq;
+        q_.schedule_at(t, [this, big] { fire(big[11]); });
+        break;
+      }
+      default: q_.schedule_thunk(t, &Differential::thunk, this, seq); break;
+    }
+  }
+
+  /// resume_after() with any delay, zero included (sim::delay(q, 0) would
+  /// not suspend).
+  struct Sleep {
+    EventQueue& q;
+    Cycle d;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const { q.resume_after(d, h); }
+    void await_resume() const noexcept {}
+  };
+
+  /// A coroutine producer: sleeps, fires, and sleeps again while the
+  /// budget lasts.
+  ccsim::sim::Task sleeper() {
+    while (times_.size() < budget_) {
+      const Cycle t = pick_time();
+      const std::uint64_t seq = admit(t);
+      co_await Sleep{q_, t - q_.now()};
+      fire(seq);
+    }
+  }
+
+  EventQueue q_;
+  ccsim::sim::Rng rng_;
+  std::size_t population_;
+  std::size_t budget_;
+  std::vector<Cycle> times_;                              ///< by seq
+  std::set<std::pair<Cycle, std::uint64_t>> pending_;    ///< (t, seq)
+  std::vector<std::uint64_t> fired_;                      ///< seqs in run order
+  std::vector<Cycle> far_;
+  std::set<Cycle> far_cycles_;
+  std::size_t migrated_ties_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOrderOnRandomSchedules) {
+  // Populations from a sparse queue to update_storm's depth.
+  std::size_t migrated_ties = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (std::size_t population : {1u, 17u, 600u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " population " +
+                   std::to_string(population));
+      Differential d(seed, population, 30'000);
+      d.run();
+      if (HasFatalFailure()) return;
+      migrated_ties += d.migrated_ties();
+    }
+  }
+  // Near events did land in cycles that far events were waiting for.
+  EXPECT_GT(migrated_ties, 0u);
+}
+
+TEST(EventQueue, AnyDelayRunsThroughTheOverflowHeap) {
+  EventQueue q;
+  std::vector<Cycle> seen;
+  const Cycle huge = ~Cycle{0} - 3;
+  q.schedule_at(huge, [&] { seen.push_back(q.now()); });
+  q.schedule_at(1ull << 40, [&] {
+    seen.push_back(q.now());
+    q.schedule(2, [&] { seen.push_back(q.now()); });
+  });
+  q.schedule_at(3, [&] { seen.push_back(q.now()); });
+  EXPECT_EQ(q.next_time(), 3u);
+  q.run();
+  EXPECT_EQ(seen, (std::vector<Cycle>{3, 1ull << 40, (1ull << 40) + 2, huge}));
 }
 
 } // namespace

@@ -8,11 +8,16 @@
 // events are queue records, pooled message deliveries and pooled replies,
 // so they must stay well under one allocation per ten events. The WI
 // cells still allocate in the home's transaction maps and the caches'
-// MSHR map, so their bound is looser.
+// MSHR map, so their bound is looser. The event queue on its own, once
+// warmed, must not allocate at all.
 #include "harness/workloads.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
+#include "sim/task.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +112,66 @@ TEST(HotPathAllocs, WiLocks) {
 TEST(HotPathAllocs, WiBarriers) {
   EXPECT_LE(barrier_cell(Protocol::WI, BarrierKind::Dissemination), kWiBound);
   EXPECT_LE(barrier_cell(Protocol::WI, BarrierKind::Tree), kWiBound);
+}
+
+/// Keeps a constant number of events pending, each of which schedules its
+/// successor near (under 64 cycles) or far (past the wheel, through the
+/// overflow heap), through a pooled thunk, an in-record or a slab-stored
+/// callback; a coroutine sleeps alongside through resume_after().
+struct QueueChurn {
+  static constexpr std::size_t kPending = 600;
+  sim::EventQueue q;
+  sim::Rng rng{7};
+  std::uint64_t left = 0;
+  bool sleeping = true;
+
+  static void fire(void* self, std::uint64_t) { static_cast<QueueChurn*>(self)->next(); }
+
+  void next() {
+    if (left == 0) return;
+    --left;
+    const Cycle t = q.now() + (rng.below(4) == 0 ? sim::EventQueue::kSpan + rng.below(4096)
+                                                 : rng.below(64));
+    const std::array<std::uint64_t, 3> pad{};
+    switch (rng.below(3)) {
+      case 0: q.schedule_thunk(t, &QueueChurn::fire, this, 0); break;
+      case 1: q.schedule_at(t, [this] { next(); }); break;
+      default: q.schedule_at(t, [this, pad] { next(); }); break;
+    }
+  }
+
+  sim::Task sleeper() {
+    while (sleeping) co_await sim::delay(q, 1 + rng.below(100));
+  }
+
+  /// Grow every pool to more than the churn's peak: the node pool and the
+  /// callback slab with near slab callbacks, the overflow heap with far
+  /// thunks.
+  void warm() {
+    const std::array<std::uint64_t, 3> pad{};
+    for (std::size_t i = 0; i < kPending + 8; ++i) q.schedule(1, [pad] {});
+    q.run();
+    for (std::size_t i = 0; i < kPending + 8; ++i)
+      q.schedule_thunk(q.now() + 2 * sim::EventQueue::kSpan, &QueueChurn::fire, this, 0);
+    q.run();
+  }
+};
+
+TEST(HotPathAllocs, WarmedQueueChurnsNearAndFarEventsWithoutAllocating) {
+  QueueChurn c;
+  c.warm();
+  sim::Task t = c.sleeper();
+  t.start();
+  const std::uint64_t executed = c.q.executed();
+  const std::uint64_t before = g_allocs;
+  c.left = 200'000;
+  for (std::size_t i = 0; i < QueueChurn::kPending; ++i) c.next();
+  while (c.left != 0) ASSERT_TRUE(c.q.step());
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_GT(c.q.executed() - executed, 199'000u);
+  c.sleeping = false;
+  c.q.run();
+  EXPECT_TRUE(t.done());
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // ccstress: seeded randomized robustness tester.
 //
-//   ccstress [--protocols WI,PU,CU] [--seeds N | --seed-list a,b,...]
+//   ccstress [--protocols WI,PU,CU,Hybrid] [--seeds N | --seed-list a,b,...]
 //            [--jitters 0,3,17] [--procs 16] [--segments 6] [--ops 48]
 //            [--blocks 16] [--watchdog N] [--max-cycles N] [--jobs N]
 //            [--no-check] [--inject-hang] [--host-metrics] [--out FILE]
@@ -17,6 +17,11 @@
 // under deterministic network-delivery jitter. The whole grid is a pure
 // function of its seeds: the same invocation produces a byte-identical
 // report for any --jobs value.
+//
+// `Hybrid` in --protocols adds Hybrid-machine cells (not in the default
+// grid): each data block and the counters block run a seed-chosen mode,
+// the sync constructs the machine's default mode, and every (jitter,
+// seed) runs once per default mode, WI, PU and CU.
 //
 // --inject-hang appends one deliberately hung cell (a spin nobody
 // satisfies) so CI can assert the watchdog path end to end.
@@ -72,7 +77,7 @@ struct Options {
 
 void usage() {
   std::printf(
-      "usage: ccstress [--protocols WI,PU,CU] [--seeds N | --seed-list "
+      "usage: ccstress [--protocols WI,PU,CU,Hybrid] [--seeds N | --seed-list "
       "a,b,...]\n"
       "                [--jitters 0,3,17] [--procs N] [--segments N] [--ops "
       "N]\n"
@@ -91,7 +96,9 @@ Options parse_args(int argc, char** argv) {
     if (harness::take_value("--protocols", argc, argv, i, v)) {
       o.protocols.clear();
       for (const std::string& s : harness::split_list("--protocols", v))
-        o.protocols.push_back(harness::parse_protocol("--protocols", s));
+        o.protocols.push_back(s == "Hybrid" || s == "hybrid"
+                                  ? proto::Protocol::Hybrid
+                                  : harness::parse_protocol("--protocols", s));
     } else if (harness::take_value("--seeds", argc, argv, i, v)) {
       o.seed_count = harness::parse_uint("--seeds", v, 1);
     } else if (harness::take_value("--seed-list", argc, argv, i, v)) {
@@ -141,9 +148,11 @@ Options parse_args(int argc, char** argv) {
 }
 
 harness::MachineConfig stress_machine(const Options& o, proto::Protocol proto,
+                                      proto::Protocol hybrid_default,
                                       std::uint64_t seed, Cycle jitter) {
   harness::MachineConfig cfg;
   cfg.protocol = proto;
+  cfg.hybrid_default = hybrid_default;
   cfg.nprocs = o.procs;
   cfg.max_cycles = o.max_cycles;
   cfg.watchdog_stall_cycles = o.watchdog;
@@ -158,13 +167,28 @@ harness::MachineConfig stress_machine(const Options& o, proto::Protocol proto,
 
 std::vector<harness::SweepJob> build_grid(const Options& o) {
   std::vector<harness::SweepJob> jobs;
+  // One machine kind per protocol; Hybrid is one per default mode.
+  struct Kind {
+    proto::Protocol proto;
+    proto::Protocol hybrid_default;
+    std::string tag;
+  };
+  std::vector<Kind> kinds;
   for (proto::Protocol proto : o.protocols) {
+    if (proto != proto::Protocol::Hybrid) {
+      kinds.push_back({proto, proto::Protocol::WI, std::string(proto::to_string(proto))});
+      continue;
+    }
+    for (proto::Protocol def : harness::kProtocols)
+      kinds.push_back({proto, def, "Hybrid-" + std::string(proto::to_string(def))});
+  }
+  for (const Kind& k : kinds) {
     for (Cycle jitter : o.jitters) {
       for (std::uint64_t seed : o.seeds) {
         harness::SweepJob j;
-        j.name = "stress/" + std::string(proto::to_string(proto)) + "/j" +
-                 std::to_string(jitter) + "/s" + std::to_string(seed);
-        j.machine = stress_machine(o, proto, seed, jitter);
+        j.name = "stress/" + k.tag + "/j" + std::to_string(jitter) + "/s" +
+                 std::to_string(seed);
+        j.machine = stress_machine(o, k.proto, k.hybrid_default, seed, jitter);
         harness::StressParams sp;
         sp.seed = seed;
         sp.segments = o.segments;
@@ -182,7 +206,7 @@ std::vector<harness::SweepJob> build_grid(const Options& o) {
     // writes. Exercises the watchdog/deadlock reporting path end to end.
     harness::SweepJob j;
     j.name = "stress/inject-hang";
-    j.machine = stress_machine(o, o.protocols.front(), 1, 0);
+    j.machine = stress_machine(o, o.protocols.front(), proto::Protocol::WI, 1, 0);
     j.runner = [](const harness::MachineConfig& cfg) {
       harness::Machine m(cfg);
       const Addr a = m.alloc().allocate_on(0, mem::kWordSize, "hang.word");
